@@ -16,7 +16,8 @@ and a query document names a kind plus its parameters, e.g.
 
 Gambles are state-name-to-value maps; omitted states default to 0.  Hitting
 kinds accept an optional {"limit": {"tol": ..., "max_horizon": ...}} object
-to request the growing-horizon approximation instead of a fixed horizon.
+to request the growing-horizon approximation instead of a fixed horizon; the
+limit settings live only there and default to 1e-6 and 100000.
 
 Exit codes: 0 success, 2 parse or validation error, 3 numerical failure,
 4 size cap exceeded (and 1 for a check that found a discrepancy).
@@ -27,7 +28,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +57,6 @@ from .lp import LpCounter
 from .operators import DEFAULT_HISTORY_CAP
 from .oracle import materialize_path_function, naive_conditional_bounds
 
-DEFAULT_TOL = 1e-6
-DEFAULT_MAX_HORIZON = 100_000
 CHECK_TOLERANCE = 1e-8
 
 
@@ -199,15 +197,13 @@ def _parse_horizon(doc, kind: str) -> int:
 @dataclass(frozen=True)
 class Query:
     """A parsed query: either a fixed-horizon spec (with an output scale) or
-    a limit request for one of the hitting families."""
+    a limit request for one of the hitting families, held as the keyword
+    arguments of ``limit_infer``."""
 
     kind: str
     spec: RecursiveSpec | None
     scale: float
-    limit_family: str | None = None
-    limit_targets: tuple[str, ...] = ()
-    limit_tol: float | None = None
-    limit_max_horizon: int | None = None
+    limit: dict | None = None
 
 
 _HITTING_KINDS = ("hitting_probability", "hitting_time")
@@ -256,15 +252,12 @@ def parse_query(doc, space: StateSpace) -> Query:
                 or max_horizon < 2
             ):
                 raise DocumentError("'limit.max_horizon' must be an integer >= 2")
-            return Query(
-                kind=kind,
-                spec=None,
-                scale=1.0,
-                limit_family=kind,
-                limit_targets=tuple(targets),
-                limit_tol=None if tol is None else float(tol),
-                limit_max_horizon=max_horizon,
-            )
+            settings = {"family": kind, "targets": tuple(targets)}
+            if tol is not None:
+                settings["tol"] = float(tol)
+            if max_horizon is not None:
+                settings["max_horizon"] = max_horizon
+            return Query(kind=kind, spec=None, scale=1.0, limit=settings)
         n = _parse_horizon(doc, kind)
         if kind == "hitting_probability":
             spec = spec_hitting_probability(space, targets, n)
@@ -365,84 +358,41 @@ def _load_model(path: str) -> ImpreciseMarkovChain:
 
 
 def cmd_validate(model_path: str) -> int:
-    try:
-        model = parse_model(_load_json(model_path, "model"))
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    violations = validate_model(model)
-    if violations:
-        print("model is invalid:", file=sys.stderr)
-        for v in violations:
-            print(f"  - {v}", file=sys.stderr)
-        return 2
+    model = _load_model(model_path)
     print(f"model ok: {model.size} states")
     return 0
 
 
-def cmd_infer(
-    model_path: str,
-    query_path: str,
-    tol: float = DEFAULT_TOL,
-    max_horizon: int = DEFAULT_MAX_HORIZON,
-    threads: int = 1,
-    output: str | None = None,
-) -> int:
-    try:
-        model = _load_model(model_path)
-        query = parse_query(_load_json(query_path, "query"), model.states)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        if query.limit_family is not None:
-            result = limit_infer(
-                model,
-                query.limit_family,
-                query.limit_targets,
-                tol=query.limit_tol if query.limit_tol is not None else tol,
-                max_horizon=(
-                    query.limit_max_horizon
-                    if query.limit_max_horizon is not None
-                    else max_horizon
-                ),
-                executor=executor,
-            )
-            doc = {
-                "upper": result.upper,
-                "lower": result.lower,
-                "conditional": _conditional_map(
-                    model.states, result.lower_conditional, result.upper_conditional
-                ),
-                "lp_calls": result.lp_calls,
-                "horizon_reached": result.horizon_reached,
-                "converged": result.converged,
-                "upper_trace": list(result.upper_trace),
-                "lower_trace": list(result.lower_trace),
-            }
-        else:
-            result = infer(model, query.spec, executor=executor)
-            s = query.scale
-            doc = {
-                "upper": s * result.upper,
-                "lower": s * result.lower,
-                "conditional": _conditional_map(
-                    model.states,
-                    s * result.lower_conditional,
-                    s * result.upper_conditional,
-                ),
-                "lp_calls": result.lp_calls,
-            }
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    finally:
-        if executor is not None:
-            executor.shutdown()
+def cmd_infer(model_path: str, query_path: str, output: str | None = None) -> int:
+    model = _load_model(model_path)
+    query = parse_query(_load_json(query_path, "query"), model.states)
+    if query.limit is not None:
+        result = limit_infer(model, **query.limit)
+        doc = {
+            "upper": result.upper,
+            "lower": result.lower,
+            "conditional": _conditional_map(
+                model.states, result.lower_conditional, result.upper_conditional
+            ),
+            "lp_calls": result.lp_calls,
+            "horizon_reached": result.horizon_reached,
+            "converged": result.converged,
+            "upper_trace": list(result.upper_trace),
+            "lower_trace": list(result.lower_trace),
+        }
+    else:
+        result = infer(model, query.spec)
+        s = query.scale
+        doc = {
+            "upper": s * result.upper,
+            "lower": s * result.lower,
+            "conditional": _conditional_map(
+                model.states,
+                s * result.lower_conditional,
+                s * result.upper_conditional,
+            ),
+            "lp_calls": result.lp_calls,
+        }
     _write_output(dumps_document(doc), output)
     return 0
 
@@ -451,39 +401,19 @@ def cmd_check(
     model_path: str,
     query_path: str,
     oracle_cap: int = DEFAULT_HISTORY_CAP,
-    threads: int = 1,
     output: str | None = None,
 ) -> int:
-    try:
-        model = _load_model(model_path)
-        query = parse_query(_load_json(query_path, "query"), model.states)
-        if query.limit_family is not None:
-            raise DocumentError(
-                "check needs a fixed horizon; remove the 'limit' object"
-            )
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        engine_counter = LpCounter()
-        upper_cond, lower_cond = conditional_bounds(
-            model, query.spec, engine_counter, executor
-        )
-        oracle_counter = LpCounter()
-        hist = materialize_path_function(query.spec, cap=oracle_cap)
-        oracle_upper, oracle_lower = naive_conditional_bounds(
-            model, hist, oracle_counter, cap=oracle_cap
-        )
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    model = _load_model(model_path)
+    query = parse_query(_load_json(query_path, "query"), model.states)
+    if query.limit is not None:
+        raise DocumentError("check needs a fixed horizon; remove the 'limit' object")
+    engine_counter = LpCounter()
+    upper_cond, lower_cond = conditional_bounds(model, query.spec, engine_counter)
+    oracle_counter = LpCounter()
+    hist = materialize_path_function(query.spec, cap=oracle_cap)
+    oracle_upper, oracle_lower = naive_conditional_bounds(
+        model, hist, oracle_counter, cap=oracle_cap
+    )
     s = query.scale
     discrepancy = max(
         float(np.max(np.abs(s * upper_cond - s * oracle_upper))),
@@ -527,12 +457,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_infer = sub.add_parser("infer", help="run an inference query")
     p_infer.add_argument("model", help="path to the model JSON file")
     p_infer.add_argument("query", help="path to the query JSON file")
-    p_infer.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                         help="limit-run stopping tolerance (default 1e-6)")
-    p_infer.add_argument("--max-horizon", type=int, default=DEFAULT_MAX_HORIZON,
-                         help="limit-run horizon cap (default 100000)")
-    p_infer.add_argument("--threads", type=int, default=1,
-                         help="parallel row optimisations per operator step")
     p_infer.add_argument("--output", default=None,
                          help="write the result document here instead of stdout")
 
@@ -543,34 +467,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("query", help="path to the query JSON file")
     p_check.add_argument("--oracle-cap", type=float, default=DEFAULT_HISTORY_CAP,
                          help="cap on materialised history entries (default 1e7)")
-    p_check.add_argument("--threads", type=int, default=1,
-                         help="parallel row optimisations per operator step")
     p_check.add_argument("--output", default=None,
                          help="write the comparison document here instead of stdout")
     return parser
 
 
+def _fail(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "validate":
-        return cmd_validate(args.model)
-    if args.command == "infer":
-        return cmd_infer(
-            args.model,
-            args.query,
-            tol=args.tol,
-            max_horizon=args.max_horizon,
-            threads=args.threads,
-            output=args.output,
-        )
-    if args.command == "check":
-        return cmd_check(
-            args.model,
-            args.query,
-            oracle_cap=int(args.oracle_cap),
-            threads=args.threads,
-            output=args.output,
-        )
+    try:
+        if args.command == "validate":
+            return cmd_validate(args.model)
+        if args.command == "infer":
+            return cmd_infer(args.model, args.query, output=args.output)
+        if args.command == "check":
+            return cmd_check(
+                args.model,
+                args.query,
+                oracle_cap=int(args.oracle_cap),
+                output=args.output,
+            )
+    except DocumentError as exc:
+        return _fail(exc, 2)
+    except NumericalError as exc:
+        return _fail(exc, 3)
+    except CapExceededError as exc:
+        return _fail(exc, 4)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -17,7 +17,6 @@ instead of the exponential cost of expanding all histories.
 
 from __future__ import annotations
 
-from concurrent.futures import Executor
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,12 +82,13 @@ def recursion_step(h, g, upper_next, lower_next):
     ``upper_next`` and ``lower_next`` are the transition-operator images of
     the previous upper and lower track.  States with h(x) = 0 land in the
     nonnegative branch, where both products vanish, so the branch choice is
-    immaterial there.
+    immaterial there.  Raises ``NumericalError`` when a bound overflows.
     """
     nonneg = h >= 0.0
-    assert np.all((h != 0.0) | ((h * upper_next == 0.0) & (h * lower_next == 0.0)))
     new_upper = np.where(nonneg, h * upper_next, h * lower_next) + g
     new_lower = np.where(nonneg, h * lower_next, h * upper_next) + g
+    if not (np.all(np.isfinite(new_upper)) and np.all(np.isfinite(new_lower))):
+        raise NumericalError("recursion step overflowed to a non-finite bound")
     return new_upper, new_lower
 
 
@@ -96,7 +96,6 @@ def conditional_bounds(
     model: ImpreciseMarkovChain,
     spec: RecursiveSpec,
     counter: LpCounter | None = None,
-    executor: Executor | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tight upper and lower conditional expectation bounds given the first state.
 
@@ -111,8 +110,8 @@ def conditional_bounds(
     upper = spec.g0.copy()
     lower = spec.g0.copy()
     for h, g in spec.steps:
-        upper_next = upper_transition(model, upper, counter, executor)
-        lower_next = lower_transition(model, lower, counter, executor)
+        upper_next = upper_transition(model, upper, counter)
+        lower_next = lower_transition(model, lower, counter)
         upper, lower = recursion_step(h, g, upper_next, lower_next)
     return upper, lower
 
@@ -135,15 +134,11 @@ def unconditional_bounds(
     return upper, lower
 
 
-def infer(
-    model: ImpreciseMarkovChain,
-    spec: RecursiveSpec,
-    executor: Executor | None = None,
-) -> BoundsResult:
+def infer(model: ImpreciseMarkovChain, spec: RecursiveSpec) -> BoundsResult:
     """Full inference: conditional bounds, then the optimisation over the
     initial credal set, with the total LP-call count recorded."""
     counter = LpCounter()
-    upper_cond, lower_cond = conditional_bounds(model, spec, counter, executor)
+    upper_cond, lower_cond = conditional_bounds(model, spec, counter)
     upper, lower = unconditional_bounds(model, upper_cond, lower_cond, counter)
     return BoundsResult(
         upper_conditional=upper_cond,

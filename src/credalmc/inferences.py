@@ -12,7 +12,6 @@ and is capped at the horizon when the set is not reached within it.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import Executor
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,7 +121,6 @@ def limit_infer(
     targets,
     tol: float = 1e-6,
     max_horizon: int = 100_000,
-    executor: Executor | None = None,
 ) -> LimitResult:
     """Approximate an unbounded-horizon hitting inference by growing the horizon.
 
@@ -163,14 +161,12 @@ def limit_infer(
     horizon = 1
     while horizon < max_horizon:
         horizon += 1
-        upper_next = upper_transition(model, upper_cond, counter, executor)
-        lower_next = lower_transition(model, lower_cond, counter, executor)
+        upper_next = upper_transition(model, upper_cond, counter)
+        lower_next = lower_transition(model, lower_cond, counter)
         upper_cond, lower_cond = recursion_step(h, g, upper_next, lower_next)
         upper, lower = unconditional_bounds(model, upper_cond, lower_cond, counter)
         upper_trace.append(upper)
         lower_trace.append(lower)
-        if not (np.isfinite(upper) and np.isfinite(lower)):
-            break
         if (
             abs(upper_trace[-1] - upper_trace[-2]) < tol
             and abs(lower_trace[-1] - lower_trace[-2]) < tol

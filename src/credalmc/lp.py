@@ -9,7 +9,6 @@ three paths are deterministic: identical inputs produce bit-identical output.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,17 +40,15 @@ class LpResult:
 
 
 class LpCounter:
-    """Thread-safe counter of row optimisations, for complexity assertions."""
+    """Counter of row optimisations, for complexity assertions."""
 
-    __slots__ = ("calls", "_lock")
+    __slots__ = ("calls",)
 
     def __init__(self):
         self.calls = 0
-        self._lock = threading.Lock()
 
     def bump(self):
-        with self._lock:
-            self.calls += 1
+        self.calls += 1
 
     def __repr__(self):
         return f"LpCounter(calls={self.calls})"
@@ -155,7 +152,16 @@ def _simplex_max(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray):
     solver is fully deterministic.  The feasible set is a subset of the
     probability simplex, hence bounded; an unbounded ray indicates a numeric
     breakdown and raises ``NumericalError``.
+
+    Each inequality is scaled to unit max-norm first, so that the absolute
+    tolerances ``PIVOT_TOL`` and ``EPS_FEAS`` mean the same on every row
+    whatever its units; an all-zero inequality is left as it is.
     """
+    norms = np.abs(a_ub).max(axis=1, initial=0.0)
+    norms[norms == 0.0] = 1.0
+    a_ub = a_ub / norms[:, None]
+    b_ub = b_ub / norms
+
     d = c.size
     m = a_ub.shape[0]
     n_rows = m + 1

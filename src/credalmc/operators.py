@@ -8,7 +8,6 @@ histories, which powers the exponential-cost reference computation.
 
 from __future__ import annotations
 
-from concurrent.futures import Executor
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,11 +70,24 @@ def _check_dim(model: ImpreciseMarkovChain, f) -> np.ndarray:
     return as_vector(f, size=model.size, name="gamble")
 
 
+def _optimise_blocks(
+    model: ImpreciseMarkovChain, blocks, optimise, counter
+) -> np.ndarray:
+    """Optimise objective block i over the credal row of state i mod d, with
+    d the number of states; ``blocks`` is a sequence of length-d vectors.
+
+    ``optimise`` is ``maximize`` or ``minimize``; every block costs exactly
+    one row optimisation.
+    """
+    rows = model.rows
+    d = len(rows)
+    return np.array(
+        [optimise(rows[i % d], block, counter).value for i, block in enumerate(blocks)]
+    )
+
+
 def upper_transition(
-    model: ImpreciseMarkovChain,
-    f,
-    counter: LpCounter | None = None,
-    executor: Executor | None = None,
+    model: ImpreciseMarkovChain, f, counter: LpCounter | None = None
 ) -> np.ndarray:
     """Apply the upper transition operator to a gamble.
 
@@ -84,56 +96,51 @@ def upper_transition(
     expectation of f given the current state.
     """
     f = _check_dim(model, f)
-    if executor is None:
-        return np.array([maximize(row, f, counter).value for row in model.rows])
-    futures = [executor.submit(maximize, row, f, counter) for row in model.rows]
-    return np.array([fut.result().value for fut in futures])
+    return _optimise_blocks(model, [f] * f.size, maximize, counter)
 
 
 def lower_transition(
-    model: ImpreciseMarkovChain,
-    f,
-    counter: LpCounter | None = None,
-    executor: Executor | None = None,
+    model: ImpreciseMarkovChain, f, counter: LpCounter | None = None
 ) -> np.ndarray:
     """Conjugate of ``upper_transition``: entry x minimises over the row of x."""
     f = _check_dim(model, f)
-    if executor is None:
-        return np.array([minimize(row, f, counter).value for row in model.rows])
-    futures = [executor.submit(minimize, row, f, counter) for row in model.rows]
-    return np.array([fut.result().value for fut in futures])
+    return _optimise_blocks(model, [f] * f.size, minimize, counter)
 
 
 def iterate_upper(
-    model: ImpreciseMarkovChain,
-    f,
-    k: int,
-    counter: LpCounter | None = None,
-    executor: Executor | None = None,
+    model: ImpreciseMarkovChain, f, k: int, counter: LpCounter | None = None
 ) -> np.ndarray:
     """k-fold application of the upper transition operator (k = 0 is the identity)."""
     if k < 0:
         raise ValueError("iteration count must be nonnegative")
     out = _check_dim(model, f).copy()
     for _ in range(k):
-        out = upper_transition(model, out, counter, executor)
+        out = upper_transition(model, out, counter)
     return out
 
 
 def iterate_lower(
-    model: ImpreciseMarkovChain,
-    f,
-    k: int,
-    counter: LpCounter | None = None,
-    executor: Executor | None = None,
+    model: ImpreciseMarkovChain, f, k: int, counter: LpCounter | None = None
 ) -> np.ndarray:
-    """k-fold application of the lower transition operator."""
-    if k < 0:
-        raise ValueError("iteration count must be nonnegative")
-    out = _check_dim(model, f).copy()
-    for _ in range(k):
-        out = lower_transition(model, out, counter, executor)
-    return out
+    """k-fold application of the lower transition operator.
+
+    Bit-identical to applying ``lower_transition`` k times, because the
+    lower operator is exactly the negated upper operator of the negated gamble.
+    """
+    return -iterate_upper(model, -_check_dim(model, f), k, counter)
+
+
+def _contract(
+    model: ImpreciseMarkovChain, hist: HistoryFunction, optimise, counter, cap: int
+) -> HistoryFunction:
+    if hist.n_states != model.size:
+        raise ValueError("history function does not match the model's state count")
+    if hist.horizon < 2:
+        raise ValueError("horizon must be at least 2 to contract a time index")
+    check_history_cap(hist.n_states, hist.horizon, cap)
+    d = hist.n_states
+    out = _optimise_blocks(model, hist.values.reshape(-1, d), optimise, counter)
+    return HistoryFunction(d, hist.horizon - 1, out)
 
 
 def extended_upper(
@@ -148,17 +155,7 @@ def extended_upper(
     last-coordinate slice, taken in the row of the prefix's final state.
     Thanks to the flat layout those slices are the rows of a reshape.
     """
-    if hist.n_states != model.size:
-        raise ValueError("history function does not match the model's state count")
-    if hist.horizon < 2:
-        raise ValueError("horizon must be at least 2 to contract a time index")
-    check_history_cap(hist.n_states, hist.horizon, cap)
-    d = hist.n_states
-    blocks = hist.values.reshape(-1, d)
-    out = np.empty(blocks.shape[0])
-    for i in range(blocks.shape[0]):
-        out[i] = maximize(model.rows[i % d], blocks[i], counter).value
-    return HistoryFunction(d, hist.horizon - 1, out)
+    return _contract(model, hist, maximize, counter, cap)
 
 
 def extended_lower(
@@ -168,14 +165,4 @@ def extended_lower(
     cap: int = DEFAULT_HISTORY_CAP,
 ) -> HistoryFunction:
     """Conjugate of ``extended_upper`` on history functions."""
-    if hist.n_states != model.size:
-        raise ValueError("history function does not match the model's state count")
-    if hist.horizon < 2:
-        raise ValueError("horizon must be at least 2 to contract a time index")
-    check_history_cap(hist.n_states, hist.horizon, cap)
-    d = hist.n_states
-    blocks = hist.values.reshape(-1, d)
-    out = np.empty(blocks.shape[0])
-    for i in range(blocks.shape[0]):
-        out[i] = minimize(model.rows[i % d], blocks[i], counter).value
-    return HistoryFunction(d, hist.horizon - 1, out)
+    return _contract(model, hist, minimize, counter, cap)

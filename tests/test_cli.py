@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +16,18 @@ from credalmc.cli import (
 )
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parent.parent / "src"
 
 MODEL = str(DATA / "model_e1.json")
 MODEL_MIXED = str(DATA / "model_mixed.json")
 MODEL_BAD = str(DATA / "model_bad.json")
+
+# A two-instant target whose product h * bound overflows to infinity.
+OVERFLOW_QUERY = {
+    "kind": "custom",
+    "g0": {"s0": 1e200, "s1": 1e200},
+    "steps": [{"h": {"s0": 1e200, "s1": 1e200}, "g": {}}],
+}
 
 
 def run(capsys, *argv):
@@ -144,15 +155,31 @@ class TestInferCommand:
         )
         assert first == second
 
-    def test_threads_flag_matches_serial_run(self, capsys):
-        _, serial, _ = run(
-            capsys, "infer", MODEL, str(DATA / "query_hitting_prob_n3.json")
+    @pytest.mark.parametrize("command", ["infer", "check"])
+    def test_overflow_exits_with_numerical_error(self, tmp_path, capsys, command):
+        q = tmp_path / "query.json"
+        q.write_text(json.dumps(OVERFLOW_QUERY))
+        code, out, err = run(capsys, command, MODEL, str(q))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_overflow_check_survives_optimised_python(self, tmp_path):
+        # Assertions vanish under -O; the overflow check must not.
+        q = tmp_path / "query.json"
+        q.write_text(json.dumps(OVERFLOW_QUERY))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")])
         )
-        _, threaded, _ = run(
-            capsys, "infer", MODEL, str(DATA / "query_hitting_prob_n3.json"),
-            "--threads", "4",
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "credalmc", "infer", MODEL, str(q)],
+            capture_output=True, text=True, env=env, timeout=120,
         )
-        assert serial == threaded
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("error:")
 
 
 class TestCheckCommand:

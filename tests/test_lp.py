@@ -4,15 +4,18 @@ from hypothesis import given, settings, strategies as st
 
 from credalmc import (
     ConstraintRow,
+    ImpreciseMarkovChain,
     InfeasibleRowError,
     IntervalRow,
     LpCounter,
+    StateSpace,
     VertexRow,
     expectation,
     feasible,
     maximize,
     minimize,
     row_contains,
+    validate_model,
 )
 from helpers import (
     interval_to_constraints,
@@ -109,6 +112,25 @@ class TestSimplexEdgeCases:
         res = maximize(row, [0.0, 1.0, 2.0])
         assert res.value == pytest.approx(1.0, abs=1e-12)
         assert res.maximizer == pytest.approx([0.5, 0.0, 0.5], abs=1e-9)
+
+    # Tiny rows sit below the absolute pivot and feasibility tolerances
+    # unless the solver scales each inequality first.
+    SCALES = (1e-12, 1e-10, 1e-6, 1.0, 1e6, 1e12)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_scaled_upper_bound_is_kept(self, scale):
+        row = ConstraintRow(a=[[scale, 0.0]], b=[0.5 * scale])  # p0 <= 0.5
+        res = maximize(row, [1.0, 0.0])
+        assert res.value == pytest.approx(0.5, abs=1e-12)
+        assert row_contains(row, res.maximizer)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_scaled_infeasible_row_is_rejected(self, scale):
+        row = ConstraintRow(a=[[scale, scale]], b=[-2.0 * scale])  # p0 + p1 <= -2
+        assert not feasible(row)
+        space = StateSpace(("s0", "s1"))
+        model = ImpreciseMarkovChain(states=space, initial=row, rows=(row, row))
+        assert "initial set: constraint system admits no pmf" in validate_model(model)
 
 
 class TestMinimize:

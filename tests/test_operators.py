@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from credalmc import (
     lower_transition,
     upper_transition,
 )
+from credalmc.cli import parse_model
 from credalmc.operators import check_history_cap
 from helpers import (
     e1_model,
@@ -24,6 +28,7 @@ from helpers import (
 rng = np.random.default_rng(3003)
 
 F01 = np.array([0.0, 1.0])
+DATA = Path(__file__).parent / "data"
 
 
 class TestUpperLower:
@@ -179,6 +184,23 @@ class TestExtended:
         out = extended_upper(model, hist)
         assert out.horizon == 1
         assert out.values == pytest.approx([0.3, 0.6], abs=1e-12)
+
+    # model_e1 has interval rows; model_mixed has one row of each kind.
+    @pytest.mark.parametrize("model_file", ["model_e1.json", "model_mixed.json"])
+    @pytest.mark.parametrize(
+        "plain, extended",
+        [(upper_transition, extended_upper), (lower_transition, extended_lower)],
+    )
+    def test_transition_is_extended_step_on_repeated_blocks(
+        self, model_file, plain, extended
+    ):
+        with open(DATA / model_file) as fh:
+            model = parse_model(json.load(fh))
+        d = model.size
+        for _ in range(10):
+            f = random_gamble(rng, d)
+            hist = HistoryFunction(d, 2, np.tile(f, d))
+            assert np.array_equal(plain(model, f), extended(model, hist).values)
 
     def test_constant_history_stays_constant(self):
         model = e1_model()
