@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -442,6 +443,17 @@ def cmd_check(
 # ---------------------------------------------------------------------------
 # entry point
 
+def _history_cap(text: str) -> int:
+    """Parse ``--oracle-cap``: a finite number, truncated to an integer."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return int(value)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="credalmc",
@@ -465,7 +477,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument("model", help="path to the model JSON file")
     p_check.add_argument("query", help="path to the query JSON file")
-    p_check.add_argument("--oracle-cap", type=float, default=DEFAULT_HISTORY_CAP,
+    p_check.add_argument("--oracle-cap", type=_history_cap,
+                         default=DEFAULT_HISTORY_CAP,
                          help="cap on materialised history entries (default 1e7)")
     p_check.add_argument("--output", default=None,
                          help="write the comparison document here instead of stdout")
@@ -488,7 +501,7 @@ def main(argv=None) -> int:
             return cmd_check(
                 args.model,
                 args.query,
-                oracle_cap=int(args.oracle_cap),
+                oracle_cap=args.oracle_cap,
                 output=args.output,
             )
     except DocumentError as exc:

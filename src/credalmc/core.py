@@ -10,7 +10,7 @@ inequality constraints on the simplex).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 import numpy as np
@@ -40,7 +40,7 @@ def as_vector(values, size: int | None = None, name: str = "vector") -> np.ndarr
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if size is not None and arr.size != size:
         raise ValueError(f"{name} has length {arr.size}, expected {size}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -91,21 +91,57 @@ class IntervalRow:
 
     The row is the set of pmfs p with lower <= p <= upper.  Feasibility
     (lower <= upper, sum(lower) <= 1 <= sum(upper)) is checked by
-    ``validate_model`` / ``lp.feasible``, not at construction time.
+    ``validate_model`` / ``lp.feasible``, not at construction time, so an
+    empty row can still be built and reported.
+
+    The bounds never change, so the invariants of the greedy pour are
+    computed once here: ``headroom`` is ``upper - lower`` clipped at 0,
+    ``slack`` is ``1 - sum(lower)``, and ``empty`` flags a row whose lower
+    bounds exceed its upper bounds or sum above 1.
     """
 
     lower: np.ndarray
     upper: np.ndarray
+    headroom: np.ndarray = field(init=False, repr=False, compare=False)
+    slack: float = field(init=False, repr=False, compare=False)
+    empty: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lo = as_vector(self.lower, name="lower bounds")
-        up = as_vector(self.upper, size=lo.size, name="upper bounds")
-        object.__setattr__(self, "lower", _freeze(lo))
-        object.__setattr__(self, "upper", _freeze(up))
+        lo = _freeze(as_vector(self.lower, name="lower bounds"))
+        up = _freeze(as_vector(self.upper, size=lo.size, name="upper bounds"))
+        total = float(lo.sum())
+        object.__setattr__(self, "lower", lo)
+        object.__setattr__(self, "upper", up)
+        object.__setattr__(self, "headroom", _freeze(np.maximum(up - lo, 0.0)))
+        object.__setattr__(self, "slack", 1.0 - total)
+        object.__setattr__(
+            self, "empty", bool((lo > up + EPS_PROB).any()) or total > 1.0 + EPS_PROB
+        )
 
     @property
     def dim(self) -> int:
         return self.lower.size
+
+    def pour(self, order: np.ndarray) -> tuple[np.ndarray, int]:
+        """Greedy pmf: start at the lower bounds, then pour the slack into the
+        states in ``order``, each up to its upper bound.
+
+        Returns the pmf and the number of states that took mass; raises
+        ``InfeasibleRowError`` when the upper bounds cannot hold the slack.
+        The running slack is subtracted in ``order``, one state at a time,
+        exactly as a sequential loop would, so the result matches that loop
+        bit for bit.  Only states that take mass are written, which keeps a
+        lower bound of -0.0 as it is.
+        """
+        head = self.headroom[order]
+        left = np.subtract.accumulate(np.concatenate(([self.slack], head)))
+        if left[-1] > EPS_FEAS:
+            raise InfeasibleRowError("interval row has total upper mass below 1")
+        add = np.minimum(head, np.maximum(left[:-1], 0.0))
+        take = add > 0.0
+        p = self.lower.copy()
+        p[order[take]] += add[take]
+        return p, int(np.count_nonzero(take))
 
 
 @dataclass(frozen=True)
@@ -200,18 +236,7 @@ def is_pmf(p, tol: float = EPS_PROB) -> bool:
 def interval_witness(row: IntervalRow) -> np.ndarray:
     """Greedy feasible pmf of an interval row: start at the lower bounds and
     fill the remaining mass in state order, capped by the upper bounds."""
-    p = np.array(row.lower, copy=True)
-    remaining = 1.0 - float(p.sum())
-    for i in range(p.size):
-        if remaining <= 0.0:
-            break
-        add = min(row.upper[i] - row.lower[i], remaining)
-        if add > 0.0:
-            p[i] += add
-            remaining -= add
-    if remaining > EPS_FEAS:
-        raise InfeasibleRowError("interval row has total upper mass below 1")
-    return p
+    return row.pour(np.arange(row.dim))[0]
 
 
 def row_contains(row: CredalRow, p, tol: float = EPS_FEAS) -> bool:

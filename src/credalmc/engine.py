@@ -85,8 +85,10 @@ def recursion_step(h, g, upper_next, lower_next):
     immaterial there.  Raises ``NumericalError`` when a bound overflows.
     """
     nonneg = h >= 0.0
-    new_upper = np.where(nonneg, h * upper_next, h * lower_next) + g
-    new_lower = np.where(nonneg, h * lower_next, h * upper_next) + g
+    # Overflow is reported once, below, instead of as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        new_upper = np.where(nonneg, h * upper_next, h * lower_next) + g
+        new_lower = np.where(nonneg, h * lower_next, h * upper_next) + g
     if not (np.all(np.isfinite(new_upper)) and np.all(np.isfinite(new_lower))):
         raise NumericalError("recursion step overflowed to a non-finite bound")
     return new_upper, new_lower

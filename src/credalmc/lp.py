@@ -1,10 +1,13 @@
 """Linear optimisation of a gamble over one credal row.
 
 Every transition-operator evaluation reduces to one call of ``maximize`` (or
-its conjugate ``minimize``) on a single row.  Interval rows use an exact
-greedy allocation, vertex rows use direct enumeration, and constraint rows
-run a dense two-phase simplex restricted to the probability simplex.  All
-three paths are deterministic: identical inputs produce bit-identical output.
+its conjugate ``minimize``) on a single row.  Interval rows use the exact
+sorting solution: one stable argsort of the objective, then a vectorised
+greedy pour of the remaining mass (``IntervalRow.pour``) over the row's
+precomputed headroom.  Vertex rows use direct enumeration, and constraint
+rows run a dense two-phase simplex restricted to the probability simplex.
+All three paths are deterministic: identical inputs produce bit-identical
+output.
 """
 
 from __future__ import annotations
@@ -64,19 +67,14 @@ def maximize(row: CredalRow, objective, counter: LpCounter | None = None) -> LpR
     """
     if counter is not None:
         counter.bump()
-    c = as_vector(objective, size=row.dim, name="objective")
-    if isinstance(row, IntervalRow):
-        return _maximize_intervals(row, c)
-    if isinstance(row, VertexRow):
-        return _maximize_vertices(row, c)
-    if isinstance(row, ConstraintRow):
-        return _maximize_constraints(row, c)
-    raise TypeError(f"unsupported credal row type {type(row).__name__}")
+    return _maximize(row, as_vector(objective, size=row.dim, name="objective"))
 
 
 def minimize(row: CredalRow, objective, counter: LpCounter | None = None) -> LpResult:
     """Minimise a linear objective over a credal row (conjugate of maximize)."""
-    res = maximize(row, -as_vector(objective, size=row.dim, name="objective"), counter)
+    if counter is not None:
+        counter.bump()
+    res = _maximize(row, -as_vector(objective, size=row.dim, name="objective"))
     return LpResult(value=-res.value, maximizer=res.maximizer, iterations=res.iterations)
 
 
@@ -84,9 +82,8 @@ def feasible(row: CredalRow) -> bool:
     """True iff the row contains at least one probability mass function."""
     if isinstance(row, IntervalRow):
         return bool(
-            np.all(row.lower <= row.upper + EPS_PROB)
-            and np.all(row.lower >= -EPS_PROB)
-            and float(row.lower.sum()) <= 1.0 + EPS_PROB
+            not row.empty
+            and (row.lower >= -EPS_PROB).all()
             and float(row.upper.sum()) >= 1.0 - EPS_PROB
         )
     if isinstance(row, VertexRow):
@@ -100,31 +97,22 @@ def feasible(row: CredalRow) -> bool:
     raise TypeError(f"unsupported credal row type {type(row).__name__}")
 
 
+def _maximize(row: CredalRow, c: np.ndarray) -> LpResult:
+    if isinstance(row, IntervalRow):
+        return _maximize_intervals(row, c)
+    if isinstance(row, VertexRow):
+        return _maximize_vertices(row, c)
+    if isinstance(row, ConstraintRow):
+        return _maximize_constraints(row, c)
+    raise TypeError(f"unsupported credal row type {type(row).__name__}")
+
+
 def _maximize_intervals(row: IntervalRow, c: np.ndarray) -> LpResult:
     # Exact for box-on-simplex rows: give every state its lower bound, then
     # pour the remaining mass into states in decreasing objective order.
-    if (
-        np.any(row.lower > row.upper + EPS_PROB)
-        or float(row.lower.sum()) > 1.0 + EPS_PROB
-    ):
+    if row.empty:
         raise InfeasibleRowError("interval row is empty")
-    p = np.array(row.lower, copy=True)
-    remaining = 1.0 - float(p.sum())
-    iterations = 0
-    if remaining > 0.0:
-        order = np.argsort(-c, kind="stable")
-        for i in order:
-            headroom = row.upper[i] - row.lower[i]
-            if headroom <= 0.0:
-                continue
-            add = headroom if headroom < remaining else remaining
-            p[i] += add
-            remaining -= add
-            iterations += 1
-            if remaining <= 0.0:
-                break
-    if remaining > EPS_FEAS:
-        raise InfeasibleRowError("interval row has total upper mass below 1")
+    p, iterations = row.pour(np.argsort(-c, kind="stable"))
     return LpResult(value=float(np.dot(c, p)), maximizer=p, iterations=iterations)
 
 

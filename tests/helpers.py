@@ -10,12 +10,14 @@ import numpy as np
 from credalmc import (
     ConstraintRow,
     ImpreciseMarkovChain,
+    InfeasibleRowError,
     IntervalRow,
     RecursiveSpec,
     StateSpace,
     VertexRow,
     interval_witness,
 )
+from credalmc.core import EPS_FEAS, EPS_PROB
 
 # The two-state worked model used throughout: out of s0 the chance of moving
 # to s1 lies in [0.1, 0.3]; out of s1 the chance of moving to s0 lies in
@@ -158,6 +160,46 @@ def sample_in_row(rng, row, n_samples=100, max_tries=8000):
 
 # ---------------------------------------------------------------------------
 # small independent oracles
+
+def reference_pour(row: IntervalRow, order):
+    """Sequential greedy pour: start at the lower bounds and move the
+    remaining mass into the states in ``order``, one at a time, each up to its
+    upper bound.  Returns the pmf and the number of states that took mass.
+
+    This is the scalar loop the vectorised ``IntervalRow.pour`` replaced; it
+    reads only ``lower`` and ``upper``, none of the cached row invariants.
+    """
+    p = np.array(row.lower, copy=True)
+    remaining = 1.0 - float(p.sum())
+    iterations = 0
+    if remaining > 0.0:
+        for i in order:
+            headroom = row.upper[i] - row.lower[i]
+            if headroom <= 0.0:
+                continue
+            add = headroom if headroom < remaining else remaining
+            p[i] += add
+            remaining -= add
+            iterations += 1
+            if remaining <= 0.0:
+                break
+    if remaining > EPS_FEAS:
+        raise InfeasibleRowError("interval row has total upper mass below 1")
+    return p, iterations
+
+
+def reference_interval_maximize(row: IntervalRow, c):
+    """Reference interval-row maximum: (value, maximizer, iterations) of the
+    sequential pour in decreasing objective order, ties by ascending index."""
+    if (
+        np.any(row.lower > row.upper + EPS_PROB)
+        or float(row.lower.sum()) > 1.0 + EPS_PROB
+    ):
+        raise InfeasibleRowError("interval row is empty")
+    c = np.asarray(c, dtype=float)
+    p, iterations = reference_pour(row, np.argsort(-c, kind="stable"))
+    return float(np.dot(c, p)), p, iterations
+
 
 def endpoint_bruteforce_two_step_upper(model, f):
     """Componentwise max of the two-step expectation of f over all per-step,

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -159,10 +160,14 @@ class TestInferCommand:
     def test_overflow_exits_with_numerical_error(self, tmp_path, capsys, command):
         q = tmp_path / "query.json"
         q.write_text(json.dumps(OVERFLOW_QUERY))
-        code, out, err = run(capsys, command, MODEL, str(q))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, command, MODEL, str(q))
         assert code == 3
         assert out == ""
         assert err.startswith("error:")
+        # In process, numpy's warnings go to the warnings machinery, not stderr.
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_overflow_check_survives_optimised_python(self, tmp_path):
         # Assertions vanish under -O; the overflow check must not.
@@ -179,6 +184,7 @@ class TestInferCommand:
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
         assert proc.stderr.splitlines()[-1].startswith("error:")
 
 
@@ -201,6 +207,18 @@ class TestCheckCommand:
         )
         assert code == 4
         assert "cap" in err
+
+    @pytest.mark.parametrize("cap", ["nan", "inf", "-inf"])
+    def test_non_finite_oracle_cap_is_a_usage_error(self, capsys, cap):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", MODEL, str(DATA / "query_hitting_prob_n3.json"),
+                  f"--oracle-cap={cap}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err
+        assert "--oracle-cap: must be finite" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_precise_model_has_zero_discrepancy(self, tmp_path, capsys):
         model_doc = {

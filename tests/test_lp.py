@@ -12,6 +12,7 @@ from credalmc import (
     VertexRow,
     expectation,
     feasible,
+    interval_witness,
     maximize,
     minimize,
     row_contains,
@@ -24,6 +25,8 @@ from helpers import (
     random_interval_row,
     random_row,
     random_vertex_row,
+    reference_interval_maximize,
+    reference_pour,
     sample_in_row,
 )
 
@@ -233,3 +236,75 @@ class TestProperties:
         base = maximize(row, c).value
         assert maximize(row, c + mu).value == pytest.approx(base + mu, abs=1e-10)
         assert maximize(row, lam * c).value == pytest.approx(lam * base, abs=1e-10)
+
+
+def _outcome(solve):
+    """Bit patterns of the values ``solve`` returns, or the message of the
+    InfeasibleRowError it raises instead."""
+    try:
+        values = solve()
+    except InfeasibleRowError as exc:
+        return str(exc)
+    return [np.asarray(v).tobytes() for v in values]
+
+
+def _assert_matches_reference_greedy(lower, upper, c):
+    row = IntervalRow(lower=lower, upper=upper)
+    c = np.array(c, dtype=float)
+
+    def via(optimise, sign):
+        res = optimise(row, c)
+        return sign * res.value, res.maximizer, res.iterations
+
+    assert _outcome(lambda: via(maximize, 1.0)) == _outcome(
+        lambda: reference_interval_maximize(row, c)
+    )
+    assert _outcome(lambda: via(minimize, -1.0)) == _outcome(
+        lambda: reference_interval_maximize(row, -c)
+    )
+    assert _outcome(lambda: [interval_witness(row)]) == _outcome(
+        lambda: reference_pour(row, range(row.dim))[:1]
+    )
+
+
+class TestIntervalKernelMatchesReferenceGreedy:
+    """The vectorised interval pour equals the sequential greedy bit for bit:
+    value, maximizer, iteration count and raised error."""
+
+    @pytest.mark.parametrize(
+        "lower, upper, c",
+        [
+            ([0.0, 0.0, 0.0], [0.5, 0.5, 0.5], [1.0, 1.0, 1.0]),  # ties
+            ([0.1, 0.2, 0.3], [0.1, 0.9, 0.3], [3.0, -1.0, 2.0]),  # zero headroom
+            ([0.2, 0.5, 0.1], [0.2 - 1e-12, 0.9, 0.1 - 1e-10], [2.0, 1.0, 3.0]),
+            ([0.25, 0.25, 0.5], [1.0, 1.0, 1.0], [0.0, 1.0, -1.0]),  # sum(lower) 1
+            ([0.0, 0.0], [0.3, 0.3], [1.0, 2.0]),  # total upper mass below 1
+            ([0.0, 0.0], [0.5, 0.5 - 5e-9], [1.0, 2.0]),  # short, within EPS_FEAS
+            ([0.0, 0.0], [0.5, 0.5 - 2e-8], [1.0, 2.0]),  # short, beyond EPS_FEAS
+            ([0.6, 0.6], [0.7, 0.7], [1.0, 2.0]),  # empty row
+            ([0.5, 0.2], [0.4, 0.9], [1.0, 2.0]),  # lower above upper
+            ([0.3], [1.0], [-2.0]),  # d = 1
+            ([1.0], [1.0], [5.0]),
+            ([-0.0, 0.2], [0.0, 0.9], [1.0, 2.0]),  # a signed zero bound
+        ],
+    )
+    def test_edge_cases(self, lower, upper, c):
+        _assert_matches_reference_greedy(lower, upper, c)
+
+    _lower = st.one_of(st.just(0.0), st.just(-0.0), st.floats(0.0, 0.3))
+    _gap = st.one_of(
+        st.just(0.0), st.floats(-1e-9, 0.0), st.floats(0.0, 1.0)
+    )
+    _objective = st.one_of(
+        st.integers(-2, 2).map(float), st.floats(-5.0, 5.0)
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_random_rows(self, data):
+        d = data.draw(st.integers(1, 8))
+        lower = data.draw(st.lists(self._lower, min_size=d, max_size=d))
+        gap = data.draw(st.lists(self._gap, min_size=d, max_size=d))
+        c = data.draw(st.lists(self._objective, min_size=d, max_size=d))
+        upper = [lo + g for lo, g in zip(lower, gap)]
+        _assert_matches_reference_greedy(lower, upper, c)
