@@ -87,8 +87,9 @@ def _parse_numbers(values, where: str) -> list[float]:
     return out
 
 
-def parse_row(doc, where: str) -> CredalRow:
-    """Build a credal row from its document form."""
+def parse_row(doc, where: str, dim: int) -> CredalRow:
+    """Build a credal row from its document form; ``dim`` is the number of
+    states, the width of a constraint row with an empty ``A``."""
     if not isinstance(doc, dict) or len(doc) != 1:
         raise DocumentError(
             f"{where} must be an object with exactly one of "
@@ -112,7 +113,8 @@ def parse_row(doc, where: str) -> CredalRow:
             if not isinstance(a, list):
                 raise DocumentError(f"{where}.A must be a list of rows")
             mat = [_parse_numbers(r, f"{where}.A[{i}]") for i, r in enumerate(a)]
-            return ConstraintRow(a=np.array(mat).reshape(len(mat), -1), b=np.array(b))
+            a = np.array(mat).reshape(len(mat), -1) if mat else np.zeros((0, dim))
+            return ConstraintRow(a=a, b=np.array(b))
     except ValueError as exc:
         raise DocumentError(f"{where}: {exc}") from exc
     raise DocumentError(f"{where}: unknown row representation {key!r}")
@@ -136,8 +138,8 @@ def parse_model(doc) -> ImpreciseMarkovChain:
     missing = [s for s in states if s not in rows_doc]
     if missing:
         raise DocumentError(f"'rows' is missing states: {', '.join(missing)}")
-    rows = tuple(parse_row(rows_doc[s], f"rows[{s!r}]") for s in states)
-    initial = parse_row(_require(doc, "initial", "model"), "initial")
+    rows = tuple(parse_row(rows_doc[s], f"rows[{s!r}]", space.size) for s in states)
+    initial = parse_row(_require(doc, "initial", "model"), "initial", space.size)
     return ImpreciseMarkovChain(states=space, initial=initial, rows=rows)
 
 

@@ -171,10 +171,27 @@ class VertexRow:
 
 @dataclass(frozen=True)
 class ConstraintRow:
-    """Credal row {p : a @ p <= b, p >= 0, sum(p) = 1}."""
+    """Credal row {p : a @ p <= b, p >= 0, sum(p) = 1}.
+
+    Feasibility is checked by ``validate_model`` / ``lp.feasible``, not at
+    construction time, so an empty row can still be built and reported.
+
+    ``scaled_a`` and ``scaled_b`` hold each inequality divided by the
+    max-norm of its coefficients (an all-zero inequality is left as it is),
+    so that absolute tolerances mean the same on every row whatever its
+    units; the simplex and ``row_contains`` both work on them.
+    ``simplex_start`` is the phase-1 simplex tableau, which ``lp`` computes
+    on the first optimisation over the row and keeps here; it is never
+    handed out or written to.
+    """
 
     a: np.ndarray
     b: np.ndarray
+    scaled_a: np.ndarray = field(init=False, repr=False, compare=False)
+    scaled_b: np.ndarray = field(init=False, repr=False, compare=False)
+    simplex_start: tuple | None = field(
+        init=False, default=None, repr=False, compare=False
+    )
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -183,8 +200,12 @@ class ConstraintRow:
         b = as_vector(self.b, size=a.shape[0], name="constraint bounds")
         if not np.all(np.isfinite(a)):
             raise ValueError("constraint matrix contains non-finite entries")
+        norms = np.abs(a).max(axis=1, initial=0.0)
+        norms[norms == 0.0] = 1.0
         object.__setattr__(self, "a", _freeze(a))
         object.__setattr__(self, "b", _freeze(b))
+        object.__setattr__(self, "scaled_a", _freeze(a / norms[:, None]))
+        object.__setattr__(self, "scaled_b", _freeze(b / norms))
 
     @property
     def dim(self) -> int:
@@ -243,7 +264,8 @@ def row_contains(row: CredalRow, p, tol: float = EPS_FEAS) -> bool:
     """Membership test of a pmf in a credal row, within tolerance.
 
     Vertex rows test proximity to one of the listed vertices, which is the
-    membership notion relevant for optimiser output.
+    membership notion relevant for optimiser output.  Constraint rows are
+    tested on their scaled inequalities, as the simplex sees them.
     """
     p = as_vector(p, size=row.dim, name="pmf")
     if abs(float(p.sum()) - 1.0) > tol or np.any(p < -tol):
@@ -253,7 +275,7 @@ def row_contains(row: CredalRow, p, tol: float = EPS_FEAS) -> bool:
     if isinstance(row, VertexRow):
         return bool(np.min(np.max(np.abs(row.vertices - p), axis=1)) <= tol)
     if isinstance(row, ConstraintRow):
-        return bool(np.all(row.a @ p <= row.b + tol))
+        return bool(np.all(row.scaled_a @ p <= row.scaled_b + tol))
     raise TypeError(f"unsupported credal row type {type(row).__name__}")
 
 

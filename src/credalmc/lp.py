@@ -6,12 +6,16 @@ sorting solution: one stable argsort of the objective, then a vectorised
 greedy pour of the remaining mass (``IntervalRow.pour``) over the row's
 precomputed headroom.  Vertex rows use direct enumeration, and constraint
 rows run a dense two-phase simplex restricted to the probability simplex.
-All three paths are deterministic: identical inputs produce bit-identical
-output.
+Only the objective changes from one call on a constraint row to the next,
+so phase 1 is solved once per row and kept on it; each call then runs
+phase 2 on a copy of that start, in plain Python floats (the tableaux are
+too small for numpy's per-operation overhead to pay off).  All three paths
+are deterministic: identical inputs produce bit-identical output.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,7 +94,7 @@ def feasible(row: CredalRow) -> bool:
         return all(is_pmf(v) for v in row.vertices)
     if isinstance(row, ConstraintRow):
         try:
-            _simplex_max(np.zeros(row.dim), row.a, row.b)
+            _phase_one(row)
         except InfeasibleRowError:
             return False
         return True
@@ -103,7 +107,7 @@ def _maximize(row: CredalRow, c: np.ndarray) -> LpResult:
     if isinstance(row, VertexRow):
         return _maximize_vertices(row, c)
     if isinstance(row, ConstraintRow):
-        return _maximize_constraints(row, c)
+        return _simplex_max(row, c)
     raise TypeError(f"unsupported credal row type {type(row).__name__}")
 
 
@@ -126,14 +130,9 @@ def _maximize_vertices(row: VertexRow, c: np.ndarray) -> LpResult:
     )
 
 
-def _maximize_constraints(row: ConstraintRow, c: np.ndarray) -> LpResult:
-    value, p, iterations = _simplex_max(c, row.a, row.b)
-    return LpResult(value=value, maximizer=p, iterations=iterations)
-
-
-def _simplex_max(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray):
-    """Dense two-phase simplex for: max c @ p  s.t.  a_ub @ p <= b_ub,
-    sum(p) = 1, p >= 0.
+def _simplex_max(row: ConstraintRow, c: np.ndarray) -> LpResult:
+    """Dense two-phase simplex for: max c @ p  s.t.  a @ p <= b,
+    sum(p) = 1, p >= 0, on the row's scaled inequalities.
 
     Uses Bland's smallest-index rule for both the entering and the leaving
     variable, which excludes cycling and fixes the pivot sequence, so the
@@ -141,127 +140,158 @@ def _simplex_max(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray):
     probability simplex, hence bounded; an unbounded ray indicates a numeric
     breakdown and raises ``NumericalError``.
 
-    Each inequality is scaled to unit max-norm first, so that the absolute
-    tolerances ``PIVOT_TOL`` and ``EPS_FEAS`` mean the same on every row
-    whatever its units; an all-zero inequality is left as it is.
+    Phase 1 does not depend on the objective, so it is solved once per row
+    (``_phase_one``); each call copies that start and runs phase 2 from it.
+    The iteration count includes the phase-1 pivots.
     """
-    norms = np.abs(a_ub).max(axis=1, initial=0.0)
-    norms[norms == 0.0] = 1.0
-    a_ub = a_ub / norms[:, None]
-    b_ub = b_ub / norms
+    start, basis, iterations = _phase_one(row)
+    d = row.dim
+    costs = (-c).tolist()
+    tableau = list(start)
+    basis = list(basis)
+    tableau.append(
+        _reduced_costs(tableau, [costs[k] if k < d else 0.0 for k in basis], costs)
+    )
+    iterations += _run_phase(tableau, basis)
+    p = np.zeros(d)
+    for i, k in enumerate(basis):
+        if k < d:
+            p[k] = tableau[i][-1]
+    return LpResult(value=float(np.dot(c, p)), maximizer=p, iterations=iterations)
 
-    d = c.size
-    m = a_ub.shape[0]
-    n_rows = m + 1
-    n_cols = d + m  # structural + one slack per inequality
 
-    body = np.zeros((n_rows, n_cols))
-    rhs = np.zeros(n_rows)
-    needs_artificial = [False] * n_rows
-    for i in range(m):
-        arow = a_ub[i]
-        bi = float(b_ub[i])
+def _phase_one(row: ConstraintRow):
+    """Phase-1 start of a row, solved on first use and kept on the row.
+
+    Only a success is kept, so an infeasible or numerically broken row
+    raises the same error on every call.
+    """
+    start = row.simplex_start
+    if start is None:
+        start = _solve_phase_one(row)
+        object.__setattr__(row, "simplex_start", start)
+    return start
+
+
+def _solve_phase_one(row: ConstraintRow):
+    """Phase 1 of the simplex on a row: ``(tableau, basis, pivots)``.
+
+    The tableau has one row per scaled inequality (negated where its bound
+    is negative) plus the ``sum(p) = 1`` row, over the structural and slack
+    columns and the right-hand side.  Rows whose slack cannot start in the
+    basis get an artificial variable; phase 1 minimises their sum, then the
+    leftover artificials are driven out where a structural pivot exists (a
+    row with none is redundant and stays inert at level 0).  The artificial
+    columns are not stored: no pivot choice or structural entry reads them,
+    and a basic artificial keeps its column index ``d + m + j``.  Rows are
+    tuples, so the start cannot be written to once it is kept.
+
+    Raises ``InfeasibleRowError`` when no pmf satisfies the row.
+    """
+    m, d = row.scaled_a.shape
+    n_cols = d + m
+    tableau = []
+    basis = []
+    artificial = []
+    inequalities = zip(row.scaled_a.tolist(), row.scaled_b.tolist())
+    for i, (arow, bi) in enumerate(inequalities):
+        slack = [0.0] * m
         if bi < 0.0:
             # Negate so the right-hand side is nonnegative; the slack then
             # enters with coefficient -1 and cannot start in the basis.
-            body[i, :d] = -arow
-            body[i, d + i] = -1.0
-            rhs[i] = -bi
-            needs_artificial[i] = True
+            slack[i] = -1.0
+            tableau.append([-x for x in arow] + slack + [-bi])
+            artificial.append(i)
         else:
-            body[i, :d] = arow
-            body[i, d + i] = 1.0
-            rhs[i] = bi
-    body[m, :d] = 1.0
-    rhs[m] = 1.0
-    needs_artificial[m] = True
-
-    art_rows = [i for i in range(n_rows) if needs_artificial[i]]
-    n_art = len(art_rows)
-    tableau = np.zeros((n_rows + 1, n_cols + n_art + 1))
-    tableau[:n_rows, :n_cols] = body
-    tableau[:n_rows, -1] = rhs
-    basis = np.empty(n_rows, dtype=int)
-    for i in range(m):
-        basis[i] = d + i
-    for j, i in enumerate(art_rows):
-        tableau[i, n_cols + j] = 1.0
+            slack[i] = 1.0
+            tableau.append(arow + slack + [bi])
+        basis.append(d + i)
+    tableau.append([1.0] * d + [0.0] * m + [1.0])
+    basis.append(-1)
+    artificial.append(m)
+    for j, i in enumerate(artificial):
         basis[i] = n_cols + j
 
-    iterations = 0
-
-    def run_phase(costs: np.ndarray, allowed: int) -> int:
-        # Reduced-cost row for minimising costs @ x; entering candidates are
-        # the allowed columns with a negative reduced cost.
-        obj = np.zeros(tableau.shape[1])
-        obj[: costs.size] = costs
-        for i in range(n_rows):
-            cb = costs[basis[i]] if basis[i] < costs.size else 0.0
-            if cb != 0.0:
-                obj -= cb * tableau[i]
-        pivots = 0
-        while True:
-            enter = -1
-            for j in range(allowed):
-                if obj[j] < -PIVOT_TOL:
-                    enter = j
+    tableau.append(
+        _reduced_costs(tableau, [1.0 if k >= n_cols else 0.0 for k in basis], [])
+    )
+    iterations = _run_phase(tableau, basis)
+    if -tableau.pop()[-1] > EPS_FEAS:
+        raise InfeasibleRowError("constraint system admits no pmf")
+    for i in range(m + 1):
+        if basis[i] >= n_cols:
+            for j in range(n_cols):
+                if abs(tableau[i][j]) > PIVOT_TOL:
+                    _pivot(tableau, i, j)
+                    basis[i] = j
+                    iterations += 1
                     break
-            if enter < 0:
+
+    return tuple(map(tuple, tableau)), tuple(basis), iterations
+
+
+def _reduced_costs(tableau: list, basic_costs: list, costs: list) -> list:
+    """Reduced-cost row for minimising ``costs @ x`` (zero past the end of
+    ``costs``), given the cost of each row's basic variable."""
+    obj = costs + [0.0] * (len(tableau[0]) - len(costs))
+    for trow, cb in zip(tableau, basic_costs):
+        if cb != 0.0:
+            obj = [o - cb * x for o, x in zip(obj, trow)]
+    return obj
+
+
+def _run_phase(tableau: list, basis: list) -> int:
+    """Pivot by Bland's rule until no reduced cost is negative; returns the
+    pivot count.
+
+    ``tableau[-1]`` is the reduced-cost row; the others are the constraint
+    rows, whose basic variables are listed in ``basis``.  Entering
+    candidates are the structural and slack columns.
+    """
+    n_rows = len(basis)
+    n_cols = len(tableau[0]) - 1
+    pivots = 0
+    while True:
+        obj = tableau[-1]
+        enter = -1
+        for j in range(n_cols):
+            if obj[j] < -PIVOT_TOL:
+                enter = j
                 break
-            leave = -1
-            best_ratio = np.inf
-            for i in range(n_rows):
-                coef = tableau[i, enter]
-                if coef > PIVOT_TOL:
-                    ratio = tableau[i, -1] / coef
-                    if ratio < best_ratio - PIVOT_TOL or (
-                        abs(ratio - best_ratio) <= PIVOT_TOL
-                        and (leave < 0 or basis[i] < basis[leave])
-                    ):
-                        best_ratio = ratio
-                        leave = i
-            if leave < 0:
-                raise NumericalError(
-                    "unbounded direction in a simplex-constrained program"
-                )
-            pivot_row = tableau[leave] / tableau[leave, enter]
-            tableau[leave] = pivot_row
-            for i in range(n_rows):
-                if i != leave and tableau[i, enter] != 0.0:
-                    tableau[i] -= tableau[i, enter] * pivot_row
-            obj -= obj[enter] * pivot_row
-            basis[leave] = enter
-            pivots += 1
-        # Current objective value is -obj[-1]; stash it on the last row.
-        tableau[-1] = obj
-        return pivots
-
-    if n_art:
-        phase1_costs = np.zeros(n_cols + n_art)
-        phase1_costs[n_cols:] = 1.0
-        iterations += run_phase(phase1_costs, allowed=n_cols)
-        if -tableau[-1, -1] > EPS_FEAS:
-            raise InfeasibleRowError("constraint system admits no pmf")
-        # Drive leftover artificials out of the basis where possible; a row
-        # with no structural pivot is redundant and stays inert at level 0.
+        if enter < 0:
+            return pivots
+        leave = -1
+        best_ratio = math.inf
         for i in range(n_rows):
-            if basis[i] >= n_cols:
-                for j in range(n_cols):
-                    if abs(tableau[i, j]) > PIVOT_TOL:
-                        pivot_row = tableau[i] / tableau[i, j]
-                        tableau[i] = pivot_row
-                        for k in range(n_rows):
-                            if k != i and tableau[k, j] != 0.0:
-                                tableau[k] -= tableau[k, j] * pivot_row
-                        basis[i] = j
-                        iterations += 1
-                        break
+            coef = tableau[i][enter]
+            if coef > PIVOT_TOL:
+                ratio = tableau[i][-1] / coef
+                if ratio < best_ratio - PIVOT_TOL or (
+                    abs(ratio - best_ratio) <= PIVOT_TOL
+                    and (leave < 0 or basis[i] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave < 0:
+            raise NumericalError(
+                "unbounded direction in a simplex-constrained program"
+            )
+        _pivot(tableau, leave, enter)
+        basis[leave] = enter
+        pivots += 1
 
-    phase2_costs = np.zeros(n_cols + n_art)
-    phase2_costs[:d] = -c
-    iterations += run_phase(phase2_costs, allowed=n_cols)
 
-    x = np.zeros(n_cols + n_art)
-    x[basis] = tableau[:n_rows, -1]
-    p = x[:d].copy()
-    return float(np.dot(c, p)), p, iterations
+def _pivot(tableau: list, r: int, j: int) -> None:
+    """Scale row ``r`` so that its entry in column ``j`` is 1, and eliminate
+    column ``j`` from every other row that has a nonzero entry there.
+
+    Rows are replaced by new lists, never written in place, so a tableau
+    that shares its rows with the cached phase-1 start leaves it unchanged.
+    """
+    pivot_value = tableau[r][j]
+    pivot_row = [x / pivot_value for x in tableau[r]]
+    tableau[r] = pivot_row
+    for i, trow in enumerate(tableau):
+        factor = trow[j]
+        if i != r and factor != 0.0:
+            tableau[i] = [x - factor * y for x, y in zip(trow, pivot_row)]

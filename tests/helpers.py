@@ -17,7 +17,8 @@ from credalmc import (
     VertexRow,
     interval_witness,
 )
-from credalmc.core import EPS_FEAS, EPS_PROB
+from credalmc.core import EPS_FEAS, EPS_PROB, NumericalError
+from credalmc.lp import PIVOT_TOL
 
 # The two-state worked model used throughout: out of s0 the chance of moving
 # to s1 lies in [0.1, 0.3]; out of s1 the chance of moving to s0 lies in
@@ -201,12 +202,157 @@ def reference_interval_maximize(row: IntervalRow, c):
     return float(np.dot(c, p)), p, iterations
 
 
+def reference_simplex_max(c, a_ub, b_ub):
+    """Reference constraint-row maximum: (value, maximizer, iterations) of a
+    dense two-phase simplex on numpy rows for: max c @ p  s.t.
+    a_ub @ p <= b_ub, sum(p) = 1, p >= 0.
+
+    This is the solver ``lp`` used before phase 1 was kept per row: it
+    scales the row, builds the full tableau (artificial columns included)
+    and solves both phases on every call.
+
+    Uses Bland's smallest-index rule for both the entering and the leaving
+    variable, which excludes cycling and fixes the pivot sequence, so the
+    solver is fully deterministic.  The feasible set is a subset of the
+    probability simplex, hence bounded; an unbounded ray indicates a numeric
+    breakdown and raises ``NumericalError``.
+
+    Each inequality is scaled to unit max-norm first, so that the absolute
+    tolerances ``PIVOT_TOL`` and ``EPS_FEAS`` mean the same on every row
+    whatever its units; an all-zero inequality is left as it is.
+    """
+    c = np.asarray(c, dtype=float)
+    a_ub = np.asarray(a_ub, dtype=float)
+    b_ub = np.asarray(b_ub, dtype=float)
+    norms = np.abs(a_ub).max(axis=1, initial=0.0)
+    norms[norms == 0.0] = 1.0
+    a_ub = a_ub / norms[:, None]
+    b_ub = b_ub / norms
+
+    d = c.size
+    m = a_ub.shape[0]
+    n_rows = m + 1
+    n_cols = d + m  # structural + one slack per inequality
+
+    body = np.zeros((n_rows, n_cols))
+    rhs = np.zeros(n_rows)
+    needs_artificial = [False] * n_rows
+    for i in range(m):
+        arow = a_ub[i]
+        bi = float(b_ub[i])
+        if bi < 0.0:
+            # Negate so the right-hand side is nonnegative; the slack then
+            # enters with coefficient -1 and cannot start in the basis.
+            body[i, :d] = -arow
+            body[i, d + i] = -1.0
+            rhs[i] = -bi
+            needs_artificial[i] = True
+        else:
+            body[i, :d] = arow
+            body[i, d + i] = 1.0
+            rhs[i] = bi
+    body[m, :d] = 1.0
+    rhs[m] = 1.0
+    needs_artificial[m] = True
+
+    art_rows = [i for i in range(n_rows) if needs_artificial[i]]
+    n_art = len(art_rows)
+    tableau = np.zeros((n_rows + 1, n_cols + n_art + 1))
+    tableau[:n_rows, :n_cols] = body
+    tableau[:n_rows, -1] = rhs
+    basis = np.empty(n_rows, dtype=int)
+    for i in range(m):
+        basis[i] = d + i
+    for j, i in enumerate(art_rows):
+        tableau[i, n_cols + j] = 1.0
+        basis[i] = n_cols + j
+
+    iterations = 0
+
+    def run_phase(costs: np.ndarray, allowed: int) -> int:
+        # Reduced-cost row for minimising costs @ x; entering candidates are
+        # the allowed columns with a negative reduced cost.
+        obj = np.zeros(tableau.shape[1])
+        obj[: costs.size] = costs
+        for i in range(n_rows):
+            cb = costs[basis[i]] if basis[i] < costs.size else 0.0
+            if cb != 0.0:
+                obj -= cb * tableau[i]
+        pivots = 0
+        while True:
+            enter = -1
+            for j in range(allowed):
+                if obj[j] < -PIVOT_TOL:
+                    enter = j
+                    break
+            if enter < 0:
+                break
+            leave = -1
+            best_ratio = np.inf
+            for i in range(n_rows):
+                coef = tableau[i, enter]
+                if coef > PIVOT_TOL:
+                    ratio = tableau[i, -1] / coef
+                    if ratio < best_ratio - PIVOT_TOL or (
+                        abs(ratio - best_ratio) <= PIVOT_TOL
+                        and (leave < 0 or basis[i] < basis[leave])
+                    ):
+                        best_ratio = ratio
+                        leave = i
+            if leave < 0:
+                raise NumericalError(
+                    "unbounded direction in a simplex-constrained program"
+                )
+            pivot_row = tableau[leave] / tableau[leave, enter]
+            tableau[leave] = pivot_row
+            for i in range(n_rows):
+                if i != leave and tableau[i, enter] != 0.0:
+                    tableau[i] -= tableau[i, enter] * pivot_row
+            obj -= obj[enter] * pivot_row
+            basis[leave] = enter
+            pivots += 1
+        # Current objective value is -obj[-1]; stash it on the last row.
+        tableau[-1] = obj
+        return pivots
+
+    if n_art:
+        phase1_costs = np.zeros(n_cols + n_art)
+        phase1_costs[n_cols:] = 1.0
+        iterations += run_phase(phase1_costs, allowed=n_cols)
+        if -tableau[-1, -1] > EPS_FEAS:
+            raise InfeasibleRowError("constraint system admits no pmf")
+        # Drive leftover artificials out of the basis where possible; a row
+        # with no structural pivot is redundant and stays inert at level 0.
+        for i in range(n_rows):
+            if basis[i] >= n_cols:
+                for j in range(n_cols):
+                    if abs(tableau[i, j]) > PIVOT_TOL:
+                        pivot_row = tableau[i] / tableau[i, j]
+                        tableau[i] = pivot_row
+                        for k in range(n_rows):
+                            if k != i and tableau[k, j] != 0.0:
+                                tableau[k] -= tableau[k, j] * pivot_row
+                        basis[i] = j
+                        iterations += 1
+                        break
+
+    phase2_costs = np.zeros(n_cols + n_art)
+    phase2_costs[:d] = -c
+    iterations += run_phase(phase2_costs, allowed=n_cols)
+
+    x = np.zeros(n_cols + n_art)
+    x[basis] = tableau[:n_rows, -1]
+    p = x[:d].copy()
+    return float(np.dot(c, p)), p, iterations
+
+
 def endpoint_bruteforce_two_step_upper(model, f):
     """Componentwise max of the two-step expectation of f over all per-step,
     per-state interval endpoint choices (two-state interval rows only)."""
     extremes = []
     for row in model.rows:
-        assert isinstance(row, IntervalRow) and row.dim == 2
+        if not isinstance(row, IntervalRow) or row.dim != 2:
+            raise ValueError("the brute force needs two-state interval rows")
         qs = sorted({float(row.lower[1]), float(row.upper[1])})
         extremes.append([np.array([1.0 - q, q]) for q in qs])
     f = np.asarray(f, dtype=float)

@@ -261,6 +261,33 @@ class TestDocuments:
                     if hasattr(a, field):
                         assert np.array_equal(getattr(a, field), getattr(b, field))
 
+    def test_whole_simplex_constraint_row(self, tmp_path, capsys):
+        # An empty constraint system is the whole simplex: the same row as
+        # the list of unit vectors.
+        with open(MODEL_MIXED) as fh:
+            doc = json.load(fh)
+        as_constraints = dict(doc, rows=dict(doc["rows"], c={
+            "constraints": {"A": [], "b": []}}))
+        as_vertices = dict(doc, rows=dict(doc["rows"], c={
+            "vertices": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}))
+        row = parse_model(as_constraints).rows[2]
+        assert row.a.shape == (0, 3)
+        assert model_to_document(parse_model(as_constraints)) == as_constraints
+        query = tmp_path / "query.json"
+        query.write_text(json.dumps({"kind": "hitting_probability", "A": ["b"], "n": 4}))
+        outputs = []
+        for name, model_doc in (("constraints", as_constraints),
+                                ("vertices", as_vertices)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(model_doc))
+            assert run(capsys, "validate", str(path)) == (
+                0, "model ok: 3 states\n", ""
+            )
+            code, out, _ = run(capsys, "infer", str(path), str(query))
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
     def test_numbers_serialised_at_seventeen_digits(self):
         text = dumps_document({"x": 0.65, "third": 1.0 / 3.0})
         assert '"x": 0.65000000000000002' in text

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from credalmc import (
     InfeasibleRowError,
     IntervalRow,
     LpCounter,
+    NumericalError,
     StateSpace,
     VertexRow,
     expectation,
@@ -18,6 +21,7 @@ from credalmc import (
     row_contains,
     validate_model,
 )
+from credalmc import lp
 from helpers import (
     interval_to_constraints,
     random_constraint_row,
@@ -27,6 +31,7 @@ from helpers import (
     random_vertex_row,
     reference_interval_maximize,
     reference_pour,
+    reference_simplex_max,
     sample_in_row,
 )
 
@@ -126,6 +131,12 @@ class TestSimplexEdgeCases:
         res = maximize(row, [1.0, 0.0])
         assert res.value == pytest.approx(0.5, abs=1e-12)
         assert row_contains(row, res.maximizer)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_membership_uses_the_scaled_row(self, scale):
+        row = ConstraintRow(a=[[scale, 0.0]], b=[0.5 * scale])  # p0 <= 0.5
+        assert not row_contains(row, [1.0, 0.0])
+        assert row_contains(row, [0.5, 0.5])
 
     @pytest.mark.parametrize("scale", SCALES)
     def test_scaled_infeasible_row_is_rejected(self, scale):
@@ -239,12 +250,12 @@ class TestProperties:
 
 
 def _outcome(solve):
-    """Bit patterns of the values ``solve`` returns, or the message of the
-    InfeasibleRowError it raises instead."""
+    """Bit patterns of the values ``solve`` returns, or the type and message
+    of the InfeasibleRowError or NumericalError it raises instead."""
     try:
         values = solve()
-    except InfeasibleRowError as exc:
-        return str(exc)
+    except (InfeasibleRowError, NumericalError) as exc:
+        return type(exc).__name__, str(exc)
     return [np.asarray(v).tobytes() for v in values]
 
 
@@ -308,3 +319,131 @@ class TestIntervalKernelMatchesReferenceGreedy:
         c = data.draw(st.lists(self._objective, min_size=d, max_size=d))
         upper = [lo + g for lo, g in zip(lower, gap)]
         _assert_matches_reference_greedy(lower, upper, c)
+
+
+def _reference_feasible(a, b):
+    try:
+        reference_simplex_max(np.zeros(np.shape(a)[1]), a, b)
+    except InfeasibleRowError:
+        return False
+    return True
+
+
+def _assert_matches_reference_simplex(a, b, c):
+    c = np.array(c, dtype=float)
+    a = np.array(a, dtype=float).reshape(len(b), c.size)
+    row = ConstraintRow(a=a, b=b)
+
+    def via(optimise, sign):
+        res = optimise(row, c)
+        return sign * res.value, res.maximizer, res.iterations
+
+    # Twice each, so that both the call that solves phase 1 and the calls
+    # that start from the kept tableau are compared.
+    for _ in range(2):
+        assert _outcome(lambda: via(maximize, 1.0)) == _outcome(
+            lambda: reference_simplex_max(c, a, b)
+        )
+        assert feasible(row) == _reference_feasible(a, b)
+        assert _outcome(lambda: via(minimize, -1.0)) == _outcome(
+            lambda: reference_simplex_max(-c, a, b)
+        )
+
+
+class TestConstraintSimplexMatchesReference:
+    """The simplex that keeps each row's phase-1 start equals the solver that
+    redoes both phases on every call, bit for bit: value, maximizer,
+    iteration count, raised error and feasibility."""
+
+    @pytest.mark.parametrize(
+        "a, b, c",
+        [
+            (np.zeros((0, 3)), [], [1.0, 5.0, 2.0]),  # m = 0
+            (np.zeros((0, 1)), [], [3.0]),  # m = 0, d = 1
+            ([[1.0]], [2.0], [-1.0]),  # d = 1
+            ([[1.0]], [0.5], [1.0]),  # d = 1, infeasible
+            ([[0.0, 0.0]], [1.0], [1.0, 2.0]),  # all-zero inequality
+            ([[0.0, 0.0]], [0.0], [2.0, 1.0]),
+            ([[0.0, 0.0]], [-1.0], [1.0, 2.0]),  # all-zero, infeasible
+            ([[-1.0, 0.0, 0.0]], [-0.5], [0.0, 1.0, 2.0]),  # negative b
+            ([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]], [1.0, 1.0], [1.0, 1.0, 1.0]),
+            ([[1.0, -1.0], [-1.0, 1.0]], [0.0, 0.0], [1.0, 2.0]),  # degenerate
+            (
+                [[1.0, 0.0], [1.0, 0.0], [2.0, 0.0], [-1.0, -1.0]],
+                [0.4, 0.4, 0.8, -1.0],
+                [1.0, 0.0],
+            ),  # duplicate and redundant rows
+            ([[1.0, 0.0], [-1.0, 0.0]], [0.25, -0.25], [10.0, 1.0]),
+            ([[1.0, 0.0], [-1.0, 0.0]], [0.2, -0.5], [1.0, 0.0]),  # infeasible
+            ([[1.0, 1.0]], [1.0 - 1e-9], [1.0, 0.0]),  # short, within EPS_FEAS
+            ([[1.0, 1.0]], [1.0 - 1e-7], [1.0, 0.0]),  # short, beyond EPS_FEAS
+            ([[1e-12, 0.0]], [0.5e-12], [1.0, 0.0]),
+            ([[1e12, 1e12]], [-2e12], [1.0, 0.0]),  # scaled, infeasible
+            ([[-1e12, 0.0, 0.0], [0.0, 1e-12, 0.0]], [-3e11, 2e-13], [0.0, 1.0, 2.0]),
+        ],
+    )
+    def test_edge_cases(self, a, b, c):
+        _assert_matches_reference_simplex(a, b, c)
+
+    _entry = st.one_of(st.integers(-2, 2).map(float), st.floats(-3.0, 3.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_random_rows(self, data):
+        d = data.draw(st.integers(1, 6))
+        m = data.draw(st.integers(0, 5))
+        a = np.array(
+            data.draw(st.lists(self._entry, min_size=m * d, max_size=m * d))
+        ).reshape(m, d)
+        if data.draw(st.booleans()):
+            # Through or around the barycentre: nonempty, often degenerate.
+            margin = data.draw(st.sampled_from([0.0, 0.1]))
+            b = a @ np.full(d, 1.0 / d) + margin
+        else:
+            b = np.array(data.draw(st.lists(self._entry, min_size=m, max_size=m)))
+        exponents = data.draw(st.lists(st.integers(-12, 12), min_size=m, max_size=m))
+        scales = 10.0 ** np.array(exponents, dtype=float)
+        c = data.draw(st.lists(self._entry, min_size=d, max_size=d))
+        _assert_matches_reference_simplex(a * scales[:, None], b * scales, c)
+
+    def test_phase_one_is_solved_once_per_row(self, monkeypatch):
+        solves = []
+        solve = lp._solve_phase_one
+        monkeypatch.setattr(
+            lp, "_solve_phase_one", lambda row: solves.append(row) or solve(row)
+        )
+        rows = [random_constraint_row(np.random.default_rng(s), 4) for s in range(3)]
+        for row in rows:
+            assert feasible(row)
+        start = [row.simplex_start for row in rows]
+        for k in range(20):
+            c = np.random.default_rng(k).normal(size=4)
+            for row in rows:
+                maximize(row, c)
+                minimize(row, c)
+        assert len(solves) == len(rows)
+        assert all(row.simplex_start is s for row, s in zip(rows, start))
+
+    def test_infeasible_row_raises_on_every_call(self, monkeypatch):
+        solves = []
+        solve = lp._solve_phase_one
+        monkeypatch.setattr(
+            lp, "_solve_phase_one", lambda row: solves.append(row) or solve(row)
+        )
+        row = ConstraintRow(a=[[1.0, 0.0], [-1.0, 0.0]], b=[0.2, -0.5])
+        for _ in range(3):
+            assert not feasible(row)
+            for optimise in (maximize, minimize):
+                with pytest.raises(InfeasibleRowError, match="admits no pmf"):
+                    optimise(row, [1.0, 0.0])
+        assert len(solves) == 9
+        assert row.simplex_start is None
+
+    def test_kept_start_is_out_of_equality_and_repr(self):
+        row = ConstraintRow(a=[[1.0, 0.0]], b=[0.5])
+        before = repr(row)
+        maximize(row, [1.0, 0.0])
+        assert row.simplex_start is not None
+        assert repr(row) == before
+        assert [f.name for f in fields(row) if f.compare] == ["a", "b"]
+        assert [f.name for f in fields(row) if f.repr] == ["a", "b"]

@@ -140,6 +140,11 @@ class TestIterate:
         assert brute == pytest.approx([0.39, 0.48], abs=1e-12)
         assert iterate_upper(model, F01, 2) == pytest.approx(brute, abs=1e-12)
 
+    def test_endpoint_bruteforce_needs_two_state_interval_rows(self):
+        model = random_model(np.random.default_rng(5), 3, kinds=("intervals",))
+        with pytest.raises(ValueError, match="two-state interval rows"):
+            endpoint_bruteforce_two_step_upper(model, [0.0, 1.0, 0.0])
+
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             iterate_upper(e1_model(), F01, -1)
