@@ -45,8 +45,6 @@ from .inferences import (
 )
 from .lp import LpCounter, LpResult, feasible, maximize, minimize
 from .operators import (
-    DEFAULT_HISTORY_CAP,
-    HistoryFunction,
     extended_lower,
     extended_upper,
     iterate_lower,
@@ -56,6 +54,7 @@ from .operators import (
 )
 from .oracle import (
     DEFAULT_ASSIGNMENT_CAP,
+    DEFAULT_HISTORY_CAP,
     enumerate_vertex_processes,
     materialize_path_function,
     naive_conditional_bounds,
@@ -71,7 +70,6 @@ __all__ = [
     "CredalRow",
     "DEFAULT_ASSIGNMENT_CAP",
     "DEFAULT_HISTORY_CAP",
-    "HistoryFunction",
     "ImpreciseMarkovChain",
     "InfeasibleRowError",
     "IntervalRow",

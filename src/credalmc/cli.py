@@ -26,6 +26,7 @@ Exit codes: 0 success, 2 parse or validation error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -55,8 +56,11 @@ from .inferences import (
     spec_time_average,
 )
 from .lp import LpCounter
-from .operators import DEFAULT_HISTORY_CAP
-from .oracle import materialize_path_function, naive_conditional_bounds
+from .oracle import (
+    DEFAULT_HISTORY_CAP,
+    materialize_path_function,
+    naive_conditional_bounds,
+)
 
 CHECK_TOLERANCE = 1e-8
 
@@ -203,7 +207,6 @@ class Query:
     a limit request for one of the hitting families, held as the keyword
     arguments of ``limit_infer``."""
 
-    kind: str
     spec: RecursiveSpec | None
     scale: float
     limit: dict | None = None
@@ -260,7 +263,7 @@ def parse_query(doc, space: StateSpace) -> Query:
                 settings["tol"] = float(tol)
             if max_horizon is not None:
                 settings["max_horizon"] = max_horizon
-            return Query(kind=kind, spec=None, scale=1.0, limit=settings)
+            return Query(spec=None, scale=1.0, limit=settings)
         n = _parse_horizon(doc, kind)
         if kind == "hitting_probability":
             spec = spec_hitting_probability(space, targets, n)
@@ -281,7 +284,7 @@ def parse_query(doc, space: StateSpace) -> Query:
             g = _parse_gamble(step["g"], space, f"steps[{i}].g")
             steps.append((h, g))
         spec = RecursiveSpec(g0=g0, steps=tuple(steps))
-    return Query(kind=kind, spec=spec, scale=scale)
+    return Query(spec=spec, scale=scale)
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +417,7 @@ def cmd_check(
     upper_cond, lower_cond = conditional_bounds(model, query.spec, engine_counter)
     oracle_counter = LpCounter()
     hist = materialize_path_function(query.spec, cap=oracle_cap)
-    oracle_upper, oracle_lower = naive_conditional_bounds(
-        model, hist, oracle_counter, cap=oracle_cap
-    )
+    oracle_upper, oracle_lower = naive_conditional_bounds(model, hist, oracle_counter)
     s = query.scale
     discrepancy = max(
         float(np.max(np.abs(s * upper_cond - s * oracle_upper))),
@@ -456,6 +457,7 @@ def _history_cap(text: str) -> int:
     return int(value)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="credalmc",

@@ -1,10 +1,14 @@
 """Exponential-cost reference computations used to validate the recursion.
 
 Three independent routes are provided: explicit materialisation of the
-recursive target on all histories, full backward contraction of a history
-function via the extended operators, and brute-force enumeration of extreme
-compatible processes for vertex-style rows.  They exist purely to check the
-linear-time engine on desk-scale instances; nothing here is performance work.
+recursive target on all histories, full backward contraction of the
+resulting history array via the extended operators, and brute-force
+enumeration of extreme compatible processes for vertex-style rows.  A history
+array on horizon n has shape ``(d,)*n`` and holds the target's value on path
+(x1, ..., xn) at ``hist[x1, ..., xn]``.  Materialisation is the one place
+that checks the size cap and the finiteness of the values.  These routes
+exist purely to check the linear-time engine on desk-scale instances;
+nothing here is performance work.
 """
 
 from __future__ import annotations
@@ -18,17 +22,16 @@ from .core import (
     CredalRow,
     ImpreciseMarkovChain,
     IntervalRow,
+    NumericalError,
     VertexRow,
 )
 from .engine import RecursiveSpec
 from .lp import LpCounter
-from .operators import (
-    DEFAULT_HISTORY_CAP,
-    HistoryFunction,
-    check_history_cap,
-    extended_lower,
-    extended_upper,
-)
+from .operators import extended_lower, extended_upper
+
+# Largest number of materialised history values before raising, so that an
+# oversized request fails cleanly instead of exhausting memory.
+DEFAULT_HISTORY_CAP = 10_000_000
 
 # Cap on the number of enumerated process assignments (summed over starting
 # states), which bounds the cost of the brute-force envelope check.
@@ -37,29 +40,39 @@ DEFAULT_ASSIGNMENT_CAP = 1_000_000
 
 def materialize_path_function(
     spec: RecursiveSpec, cap: int = DEFAULT_HISTORY_CAP
-) -> HistoryFunction:
+) -> np.ndarray:
     """Evaluate the recursive target explicitly on every state history.
 
     Step k prepends one time instant: with the accumulated values t on
     suffix histories, the new value on (x, suffix) is h_k(x) * t(suffix)
     + g_k(x).  This is the definition the engine never expands; the result
-    has d**horizon entries.
+    is an array of shape ``(d,)*horizon``.  Raises ``CapExceededError``
+    before allocating if d**horizon exceeds ``cap``, and ``NumericalError``
+    if a value is not finite.
     """
-    d = spec.dim
-    check_history_cap(d, spec.horizon, cap)
+    d, n = spec.dim, spec.horizon
+    if d**n > cap:
+        raise CapExceededError(
+            f"history of {d}**{n} = {d**n} entries exceeds cap {cap}"
+        )
     values = spec.g0.copy()
-    for h, g in spec.steps:
-        values = (h[:, None] * values[None, :] + g[:, None]).ravel()
-    return HistoryFunction(d, spec.horizon, values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for h, g in spec.steps:
+            values = (h[:, None] * values[None, :] + g[:, None]).ravel()
+    if not np.isfinite(values).all():
+        raise NumericalError("materialised history values contain non-finite entries")
+    return values.reshape((d,) * n)
+
+
+def _check_history(model: ImpreciseMarkovChain, hist: np.ndarray) -> None:
+    if hist.ndim < 1 or hist.shape != (model.size,) * hist.ndim:
+        raise ValueError("history array does not match the model's state count")
 
 
 def naive_conditional_bounds(
-    model: ImpreciseMarkovChain,
-    hist: HistoryFunction,
-    counter: LpCounter | None = None,
-    cap: int = DEFAULT_HISTORY_CAP,
+    model: ImpreciseMarkovChain, hist: np.ndarray, counter: LpCounter | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact conditional bounds of a history function by backward contraction.
+    """Exact conditional bounds of a history array by backward contraction.
 
     Repeatedly applies the extended upper and lower operators until only the
     first time index remains.  Contracting horizon j+1 to j costs d**j row
@@ -67,15 +80,12 @@ def naive_conditional_bounds(
     exponential in the horizon.  Exact for every function of finitely many
     time instants, which is what makes it an oracle for the engine.
     """
-    if hist.n_states != model.size:
-        raise ValueError("history function does not match the model's state count")
-    check_history_cap(hist.n_states, hist.horizon, cap)
-    upper = hist
-    lower = hist
-    while upper.horizon > 1:
-        upper = extended_upper(model, upper, counter, cap)
-        lower = extended_lower(model, lower, counter, cap)
-    return upper.values.copy(), lower.values.copy()
+    _check_history(model, hist)
+    upper = lower = hist
+    while upper.ndim > 1:
+        upper = extended_upper(model, upper, counter)
+        lower = extended_lower(model, lower, counter)
+    return upper.copy(), lower.copy()
 
 
 def _row_extreme_points(row: CredalRow, where: str) -> list[np.ndarray]:
@@ -99,7 +109,7 @@ def _row_extreme_points(row: CredalRow, where: str) -> list[np.ndarray]:
 
 def enumerate_vertex_processes(
     model: ImpreciseMarkovChain,
-    hist: HistoryFunction,
+    hist: np.ndarray,
     cap: int = DEFAULT_ASSIGNMENT_CAP,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Brute-force envelope over extreme compatible processes, given the start.
@@ -113,11 +123,10 @@ def enumerate_vertex_processes(
     the enumeration runs per starting state; the cap bounds the total number
     of assignments across all starts.
     """
+    _check_history(model, hist)
     d = model.size
-    if hist.n_states != d:
-        raise ValueError("history function does not match the model's state count")
-    n = hist.horizon
-    values = hist.values
+    n = hist.ndim
+    values = hist.ravel()
     if n == 1:
         return values.copy(), values.copy()
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -28,6 +29,19 @@ OVERFLOW_QUERY = {
     "kind": "custom",
     "g0": {"s0": 1e200, "s1": 1e200},
     "steps": [{"h": {"s0": 1e200, "s1": 1e200}, "g": {}}],
+}
+
+
+# Every path product is finite in the engine's recursion, but the oracle's
+# materialised values 1e200 * 1e200 overflow on the path (a, b).
+ORACLE_OVERFLOW_MODEL = {
+    "states": ["a", "b"],
+    "rows": {"a": {"vertices": [[1, 0]]}, "b": {"vertices": [[0, 1]]}},
+    "initial": {"intervals": {"lower": [0, 0], "upper": [1, 1]}},
+}
+ORACLE_OVERFLOW_QUERY = {
+    "kind": "product",
+    "fs": [{"a": 1e200, "b": 1e-200}, {"a": 1e-200, "b": 1e200}],
 }
 
 
@@ -156,6 +170,19 @@ class TestInferCommand:
         )
         assert first == second
 
+    def test_repeated_calls_leave_no_cyclic_garbage(self, capsys):
+        # The parser is built once, so an op allocates no reference cycles
+        # that only the cyclic collector could free.
+        argv = ("infer", MODEL, str(DATA / "query_hitting_prob_n2.json"))
+        run(capsys, *argv)
+        gc.collect()
+        gc.disable()
+        try:
+            assert run(capsys, *argv)[0] == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     @pytest.mark.parametrize("command", ["infer", "check"])
     def test_overflow_exits_with_numerical_error(self, tmp_path, capsys, command):
         q = tmp_path / "query.json"
@@ -219,6 +246,24 @@ class TestCheckCommand:
         assert "usage:" in captured.err
         assert "--oracle-cap: must be finite" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_oracle_overflow_is_a_numerical_error(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(ORACLE_OVERFLOW_MODEL))
+        q = tmp_path / "query.json"
+        q.write_text(json.dumps(ORACLE_OVERFLOW_QUERY))
+        code, out, _ = run(capsys, "infer", str(model), str(q))
+        assert code == 0
+        assert json.loads(out)["upper"] == 1.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "check", str(model), str(q))
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == [
+            "error: materialised history values contain non-finite entries"
+        ]
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_precise_model_has_zero_discrepancy(self, tmp_path, capsys):
         model_doc = {

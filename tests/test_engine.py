@@ -108,7 +108,7 @@ class TestConditionalBounds:
             model = random_model(rng, d)
             spec = random_spec(rng, d, max_horizon=4)
             upper, lower = conditional_bounds(model, spec)
-            target = materialize_path_function(spec).values
+            target = materialize_path_function(spec)
             assert np.all(target.min() - 1e-10 <= lower)
             assert np.all(upper <= target.max() + 1e-10)
 

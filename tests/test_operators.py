@@ -5,18 +5,17 @@ import numpy as np
 import pytest
 
 from credalmc import (
-    CapExceededError,
-    HistoryFunction,
     LpCounter,
+    RecursiveSpec,
     extended_lower,
     extended_upper,
     iterate_lower,
     iterate_upper,
     lower_transition,
+    materialize_path_function,
     upper_transition,
 )
 from credalmc.cli import parse_model
-from credalmc.operators import check_history_cap
 from helpers import (
     e1_model,
     endpoint_bruteforce_two_step_upper,
@@ -157,27 +156,22 @@ class TestIterate:
         )
 
 
-class TestHistoryFunction:
+class TestHistoryArray:
     def test_flat_layout(self):
-        hist = HistoryFunction(2, 2, [0.0, 1.0, 2.0, 3.0])
-        assert hist.at((0, 0)) == 0.0
-        assert hist.at((0, 1)) == 1.0
-        assert hist.at((1, 0)) == 2.0
-        assert hist.at((1, 1)) == 3.0
+        # F(x1, x2) = 2 x1 + x2: the first time index is the most significant
+        # in C order, so the flat values count up along the paths.
+        spec = RecursiveSpec(g0=[0.0, 1.0], steps=(([1.0, 1.0], [0.0, 2.0]),))
+        hist = materialize_path_function(spec)
+        assert hist.shape == (2, 2)
+        assert list(hist.ravel()) == [0.0, 1.0, 2.0, 3.0]
+        assert hist[1, 0] == 2.0
 
-    def test_length_must_match(self):
-        with pytest.raises(ValueError):
-            HistoryFunction(2, 2, [0.0, 1.0, 2.0])
-
-    def test_path_length_checked(self):
-        hist = HistoryFunction(2, 2, [0.0, 1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
-            hist.at((0,))
-
-    def test_cap_check(self):
-        with pytest.raises(CapExceededError):
-            check_history_cap(10, 9, cap=10**7)
-        check_history_cap(10, 7, cap=10**7)
+    def test_shape_must_match(self):
+        # Horizon 1, the wrong state count, or uneven axes.
+        for shape in [(2,), (8,), (3, 3), (2, 3), (2, 2, 4)]:
+            for extended in (extended_upper, extended_lower):
+                with pytest.raises(ValueError, match="not \\(d,\\)\\*n"):
+                    extended(e1_model(), np.zeros(shape))
 
 
 class TestExtended:
@@ -185,10 +179,10 @@ class TestExtended:
         # F(x1, x2) = indicator of s1 at the second instant; contracting the
         # second instant must reproduce the plain operator, for every x1.
         model = e1_model()
-        hist = HistoryFunction(2, 2, np.tile(F01, 2))
+        hist = np.tile(F01, (2, 1))
         out = extended_upper(model, hist)
-        assert out.horizon == 1
-        assert out.values == pytest.approx([0.3, 0.6], abs=1e-12)
+        assert out.shape == (2,)
+        assert out == pytest.approx([0.3, 0.6], abs=1e-12)
 
     # model_e1 has interval rows; model_mixed has one row of each kind.
     @pytest.mark.parametrize("model_file", ["model_e1.json", "model_mixed.json"])
@@ -204,35 +198,29 @@ class TestExtended:
         d = model.size
         for _ in range(10):
             f = random_gamble(rng, d)
-            hist = HistoryFunction(d, 2, np.tile(f, d))
-            assert np.array_equal(plain(model, f), extended(model, hist).values)
+            hist = np.tile(f, (d, 1))
+            assert np.array_equal(plain(model, f), extended(model, hist))
 
     def test_constant_history_stays_constant(self):
         model = e1_model()
-        hist = HistoryFunction(2, 3, np.full(8, 4.25))
+        hist = np.full((2, 2, 2), 4.25)
         out = extended_upper(model, hist)
-        assert out.values == pytest.approx(np.full(4, 4.25), abs=1e-12)
+        assert out.shape == (2, 2)
+        assert out == pytest.approx(np.full((2, 2), 4.25), abs=1e-12)
 
     def test_horizon_one_rejected(self):
         with pytest.raises(ValueError):
-            extended_upper(e1_model(), HistoryFunction(2, 1, [1.0, 2.0]))
-
-    def test_cap_enforced(self):
-        hist = HistoryFunction(2, 3, np.zeros(8))
-        with pytest.raises(CapExceededError):
-            extended_upper(e1_model(), hist, cap=4)
+            extended_upper(e1_model(), np.array([1.0, 2.0]))
 
     def test_lower_is_conjugate(self):
         model = e1_model()
-        vals = rng.uniform(-2, 2, size=8)
-        hist = HistoryFunction(2, 3, vals)
-        neg = HistoryFunction(2, 3, -vals)
+        hist = rng.uniform(-2, 2, size=(2, 2, 2))
         assert np.array_equal(
-            extended_lower(model, hist).values, -extended_upper(model, neg).values
+            extended_lower(model, hist), -extended_upper(model, -hist)
         )
 
     def test_lp_call_count(self):
         model = e1_model()
         counter = LpCounter()
-        extended_upper(model, HistoryFunction(2, 3, np.zeros(8)), counter)
+        extended_upper(model, np.zeros((2, 2, 2)), counter)
         assert counter.calls == 4

@@ -3,8 +3,8 @@ import pytest
 
 from credalmc import (
     CapExceededError,
-    HistoryFunction,
     LpCounter,
+    NumericalError,
     RecursiveSpec,
     conditional_bounds,
     enumerate_vertex_processes,
@@ -32,16 +32,16 @@ class TestMaterialize:
             spec_hitting_probability(E1_SPACE, ["s1"], 2)
         )
         # path order: s0s0, s0s1, s1s0, s1s1
-        assert list(hist.values) == [0.0, 1.0, 1.0, 1.0]
+        assert hist.tolist() == [[0.0, 1.0], [1.0, 1.0]]
 
     def test_hitting_time_two_steps(self):
         hist = materialize_path_function(spec_hitting_time(E1_SPACE, ["s1"], 2))
-        assert list(hist.values) == [2.0, 1.0, 0.0, 0.0]
+        assert hist.tolist() == [[2.0, 1.0], [0.0, 0.0]]
 
     def test_horizon_one_is_the_seed(self):
         g0 = np.array([0.25, -1.0])
         hist = materialize_path_function(RecursiveSpec(g0=g0))
-        assert np.array_equal(hist.values, g0)
+        assert np.array_equal(hist, g0)
 
     def test_sum_target_is_the_literal_sum(self):
         for _ in range(10):
@@ -49,6 +49,7 @@ class TestMaterialize:
             n = int(rng.integers(1, 5))
             fs = [random_gamble(rng, d) for _ in range(n)]
             hist = materialize_path_function(spec_sum(fs))
+            assert hist.shape == (d,) * n
             # check every history via the direct definition
             for flat in range(d**n):
                 path, idx = [], flat
@@ -57,7 +58,13 @@ class TestMaterialize:
                     idx //= d
                 path.reverse()
                 direct = sum(f[x] for f, x in zip(fs, path))
-                assert hist.at(path) == pytest.approx(direct, abs=1e-12)
+                assert hist[tuple(path)] == pytest.approx(direct, abs=1e-12)
+                assert hist.ravel()[flat] == hist[tuple(path)]
+
+    def test_non_finite_values_raise(self):
+        spec = RecursiveSpec(g0=[1e200, 1.0], steps=(([1e200, 1.0], [0.0, 0.0]),))
+        with np.errstate(all="raise"), pytest.raises(NumericalError):
+            materialize_path_function(spec)
 
     def test_cap(self):
         spec = spec_hitting_probability(E1_SPACE, ["s1"], 12)
@@ -77,7 +84,7 @@ class TestNaiveBounds:
 
     def test_constant_history(self):
         model = e1_model()
-        hist = HistoryFunction(2, 3, np.full(8, -1.5))
+        hist = np.full((2, 2, 2), -1.5)
         upper, lower = naive_conditional_bounds(model, hist)
         assert upper == pytest.approx([-1.5, -1.5], abs=1e-12)
         assert lower == pytest.approx([-1.5, -1.5], abs=1e-12)
@@ -85,10 +92,17 @@ class TestNaiveBounds:
     def test_history_depending_only_on_first_state(self):
         model = e1_model()
         diag = np.array([2.0, -3.0])
-        values = np.repeat(diag, 4)  # horizon 3, value fixed by x1
-        upper, lower = naive_conditional_bounds(model, HistoryFunction(2, 3, values))
+        hist = np.repeat(diag, 4).reshape(2, 2, 2)  # horizon 3, value fixed by x1
+        upper, lower = naive_conditional_bounds(model, hist)
         assert upper == pytest.approx(diag, abs=1e-12)
         assert lower == pytest.approx(diag, abs=1e-12)
+
+    def test_state_count_must_match(self):
+        # At horizon 1 no contraction runs, so no operator sees the array.
+        for hist in (np.zeros(3), np.zeros((3, 3)), np.float64(1.0)):
+            for oracle in (naive_conditional_bounds, enumerate_vertex_processes):
+                with pytest.raises(ValueError, match="state count"):
+                    oracle(e1_model(), hist)
 
     def test_lp_call_count_is_exponential(self):
         model = random_model(rng, 2)
@@ -120,7 +134,7 @@ class TestEnumerate:
 
     def test_horizon_one_returns_the_diagonal(self):
         model = e1_model()
-        hist = HistoryFunction(2, 1, [4.0, -2.0])
+        hist = np.array([4.0, -2.0])
         upper, lower = enumerate_vertex_processes(model, hist)
         assert list(upper) == [4.0, -2.0]
         assert list(lower) == [4.0, -2.0]
@@ -144,7 +158,7 @@ class TestEnumerate:
         # reaches 0.3 + 0.7 * 0.9 + 0.3 * 0.6 = 1.11, while the best
         # homogeneous chain in the model tops out at 0.97.
         model = e1_model()
-        hist = HistoryFunction(2, 3, [1.0, 0.0, 2.0, 1.0, 1.0, 0.0, 2.0, 1.0])
+        hist = np.array([1.0, 0.0, 2.0, 1.0, 1.0, 0.0, 2.0, 1.0]).reshape(2, 2, 2)
         upper, _ = enumerate_vertex_processes(model, hist)
         assert upper == pytest.approx([1.11, 1.32], abs=1e-12)
         homogeneous_best = max(
