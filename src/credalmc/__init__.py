@@ -33,7 +33,6 @@ from .engine import (
     unconditional_bounds,
 )
 from .inferences import (
-    ConvergenceCaveatWarning,
     LimitResult,
     limit_infer,
     spec_hitting_probability,
@@ -66,7 +65,6 @@ __all__ = [
     "BoundsResult",
     "CapExceededError",
     "ConstraintRow",
-    "ConvergenceCaveatWarning",
     "CredalRow",
     "DEFAULT_ASSIGNMENT_CAP",
     "DEFAULT_HISTORY_CAP",

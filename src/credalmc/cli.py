@@ -14,10 +14,13 @@ and a query document names a kind plus its parameters, e.g.
     {"kind": "custom", "g0": {"s1": 1.0},
      "steps": [{"h": {"s0": 1.0}, "g": {"s1": 1.0}}]}
 
-Gambles are state-name-to-value maps; omitted states default to 0.  Hitting
+Gambles are state-name-to-value maps; omitted states default to 0.  Numbers
+must be finite (Python's JSON reader accepts NaN and the infinities).  Hitting
 kinds accept an optional {"limit": {"tol": ..., "max_horizon": ...}} object
-to request the growing-horizon approximation instead of a fixed horizon; the
-limit settings live only there and default to 1e-6 and 100000.
+to request the growing-horizon approximation instead of a fixed horizon; its
+two settings, a finite tol > 0 and an integer max_horizon >= 2, default to
+1e-6 and 100000.  A limit run's result document is the fixed-horizon one
+plus the horizon reached, the convergence flag and the per-horizon traces.
 
 Exit codes: 0 success, 2 parse or validation error, 3 numerical failure,
 4 size cap exceeded (and 1 for a check that found a discrepancy).
@@ -47,9 +50,8 @@ from .core import (
 )
 from .engine import RecursiveSpec, conditional_bounds, infer
 from .inferences import (
+    HITTING_FAMILIES,
     limit_infer,
-    spec_hitting_probability,
-    spec_hitting_time,
     spec_product,
     spec_single_instant,
     spec_sum,
@@ -78,6 +80,20 @@ def _require(doc: dict, key: str, kind: str):
     if key not in doc:
         raise DocumentError(f"{kind} document is missing the {key!r} field")
     return doc[key]
+
+
+def _finite_number(value, where: str) -> float:
+    """A document number as a float; anything else, NaN, an infinity or an
+    integer beyond float range raises a ``DocumentError`` naming ``where``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DocumentError(f"{where} must be a number")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise DocumentError(f"{where} must be finite")
+    return number
 
 
 def _parse_numbers(values, where: str) -> list[float]:
@@ -119,7 +135,7 @@ def parse_row(doc, where: str, dim: int) -> CredalRow:
             mat = [_parse_numbers(r, f"{where}.A[{i}]") for i, r in enumerate(a)]
             a = np.array(mat).reshape(len(mat), -1) if mat else np.zeros((0, dim))
             return ConstraintRow(a=a, b=np.array(b))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise DocumentError(f"{where}: {exc}") from exc
     raise DocumentError(f"{where}: unknown row representation {key!r}")
 
@@ -177,9 +193,7 @@ def _parse_gamble(doc, space: StateSpace, where: str) -> np.ndarray:
             idx = space.index(name)
         except KeyError:
             raise DocumentError(f"{where} references unknown state {name!r}") from None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise DocumentError(f"{where}[{name!r}] must be a number")
-        out[idx] = float(value)
+        out[idx] = _finite_number(value, f"{where}[{name!r}]")
     return out
 
 
@@ -212,10 +226,8 @@ class Query:
     limit: dict | None = None
 
 
-_HITTING_KINDS = ("hitting_probability", "hitting_time")
-_KINDS = ("single_instant", "sum", "time_average", "product") + _HITTING_KINDS + (
-    "custom",
-)
+_KINDS = ("single_instant", "sum", "time_average", "product", *HITTING_FAMILIES,
+          "custom")
 
 
 def parse_query(doc, space: StateSpace) -> Query:
@@ -224,7 +236,7 @@ def parse_query(doc, space: StateSpace) -> Query:
         raise DocumentError(
             f"unknown query kind {kind!r}; expected one of {', '.join(_KINDS)}"
         )
-    if "limit" in doc and kind not in _HITTING_KINDS:
+    if "limit" in doc and kind not in HITTING_FAMILIES:
         raise DocumentError("'limit' is only allowed with the hitting kinds")
 
     scale = 1.0
@@ -240,35 +252,24 @@ def parse_query(doc, space: StateSpace) -> Query:
     elif kind == "time_average":
         f = _parse_gamble(_require(doc, "f", "query"), space, "f")
         spec, scale = spec_time_average(f, _parse_horizon(doc, kind))
-    elif kind in _HITTING_KINDS:
+    elif kind in HITTING_FAMILIES:
         targets = _parse_targets(_require(doc, "A", "query"), space, "A")
         if "limit" in doc:
             limit = doc["limit"]
-            if not isinstance(limit, dict):
-                raise DocumentError("'limit' must be an object")
-            tol = limit.get("tol")
-            max_horizon = limit.get("max_horizon")
-            if tol is not None and (
-                isinstance(tol, bool) or not isinstance(tol, (int, float)) or tol <= 0
-            ):
-                raise DocumentError("'limit.tol' must be a positive number")
-            if max_horizon is not None and (
-                isinstance(max_horizon, bool)
-                or not isinstance(max_horizon, int)
-                or max_horizon < 2
-            ):
+            if not isinstance(limit, dict) or not set(limit) <= {"tol", "max_horizon"}:
+                raise DocumentError("'limit' must be {'tol': ..., 'max_horizon': ...}")
+            # A null setting takes its default.
+            settings = {k: v for k, v in limit.items() if v is not None}
+            if "tol" in settings:
+                settings["tol"] = _finite_number(settings["tol"], "'limit.tol'")
+                if settings["tol"] <= 0:
+                    raise DocumentError("'limit.tol' must be a positive number")
+            max_horizon = settings.get("max_horizon", 2)
+            if type(max_horizon) is not int or max_horizon < 2:  # bool is no int here
                 raise DocumentError("'limit.max_horizon' must be an integer >= 2")
-            settings = {"family": kind, "targets": tuple(targets)}
-            if tol is not None:
-                settings["tol"] = float(tol)
-            if max_horizon is not None:
-                settings["max_horizon"] = max_horizon
+            settings.update(family=kind, targets=tuple(targets))
             return Query(spec=None, scale=1.0, limit=settings)
-        n = _parse_horizon(doc, kind)
-        if kind == "hitting_probability":
-            spec = spec_hitting_probability(space, targets, n)
-        else:
-            spec = spec_hitting_time(space, targets, n)
+        spec = HITTING_FAMILIES[kind](space, targets, _parse_horizon(doc, kind))
     else:  # custom
         g0 = _parse_gamble(_require(doc, "g0", "query"), space, "g0")
         steps_doc = doc.get("steps", [])
@@ -349,7 +350,7 @@ def _load_json(path: str, kind: str):
             return json.load(fh)
     except OSError as exc:
         raise DocumentError(f"cannot read {kind} file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer over Python's digit limit
         raise DocumentError(f"{kind} file {path} is not valid JSON: {exc}") from exc
 
 
@@ -372,33 +373,24 @@ def cmd_validate(model_path: str) -> int:
 def cmd_infer(model_path: str, query_path: str, output: str | None = None) -> int:
     model = _load_model(model_path)
     query = parse_query(_load_json(query_path, "query"), model.states)
-    if query.limit is not None:
-        result = limit_infer(model, **query.limit)
-        doc = {
-            "upper": result.upper,
-            "lower": result.lower,
-            "conditional": _conditional_map(
-                model.states, result.lower_conditional, result.upper_conditional
-            ),
-            "lp_calls": result.lp_calls,
-            "horizon_reached": result.horizon_reached,
-            "converged": result.converged,
-            "upper_trace": list(result.upper_trace),
-            "lower_trace": list(result.lower_trace),
-        }
-    else:
+    if query.limit is None:
         result = infer(model, query.spec)
-        s = query.scale
-        doc = {
-            "upper": s * result.upper,
-            "lower": s * result.lower,
-            "conditional": _conditional_map(
-                model.states,
-                s * result.lower_conditional,
-                s * result.upper_conditional,
-            ),
-            "lp_calls": result.lp_calls,
-        }
+    else:
+        result = limit_infer(model, **query.limit)
+    s = query.scale
+    doc = {
+        "upper": s * result.upper,
+        "lower": s * result.lower,
+        "conditional": _conditional_map(
+            model.states, s * result.lower_conditional, s * result.upper_conditional
+        ),
+        "lp_calls": result.lp_calls,
+    }
+    if query.limit is not None:
+        doc["horizon_reached"] = result.horizon_reached
+        doc["converged"] = result.converged
+        doc["upper_trace"] = list(result.upper_trace)
+        doc["lower_trace"] = list(result.lower_trace)
     _write_output(dumps_document(doc), output)
     return 0
 
@@ -413,10 +405,11 @@ def cmd_check(
     query = parse_query(_load_json(query_path, "query"), model.states)
     if query.limit is not None:
         raise DocumentError("check needs a fixed horizon; remove the 'limit' object")
+    # Materialised first, so that a target over the cap fails before any LP.
+    hist = materialize_path_function(query.spec, cap=oracle_cap)
     engine_counter = LpCounter()
     upper_cond, lower_cond = conditional_bounds(model, query.spec, engine_counter)
     oracle_counter = LpCounter()
-    hist = materialize_path_function(query.spec, cap=oracle_cap)
     oracle_upper, oracle_lower = naive_conditional_bounds(model, hist, oracle_counter)
     s = query.scale
     discrepancy = max(

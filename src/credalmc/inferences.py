@@ -6,41 +6,34 @@ Builders cover functions of a single time instant, sums, time averages,
 products, hitting probabilities and hitting times.  The hitting time follows
 the recursion-consistent convention: it counts the steps strictly before the
 first entry into the target set, is 0 when the chain starts inside the set,
-and is capped at the horizon when the set is not reached within it.
+and is capped at the horizon when the set is not reached within it.  The two
+hitting families use the same step weights at every instant, so
+``HITTING_FAMILIES`` maps each to its builder and ``limit_infer`` runs the
+builder's one step repeatedly.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ImpreciseMarkovChain, StateSpace, as_vector
-from .engine import RecursiveSpec, recursion_step, unconditional_bounds
+from .engine import BoundsResult, RecursiveSpec, recursion_step, unconditional_bounds
 from .lp import LpCounter
 from .operators import lower_transition, upper_transition
 
 
-class ConvergenceCaveatWarning(UserWarning):
-    """The growing-horizon limit is only guaranteed to converge to the
-    unbounded-horizon value when every transition credal set is closed and
-    convex."""
-
-
 @dataclass(frozen=True)
-class LimitResult:
-    """Outcome of the growing-horizon loop, including the per-horizon traces."""
+class LimitResult(BoundsResult):
+    """The bounds at the last horizon reached, plus the per-horizon traces."""
 
-    upper: float
-    lower: float
-    upper_conditional: np.ndarray
-    lower_conditional: np.ndarray
     horizon_reached: int
     converged: bool
     upper_trace: tuple[float, ...]
     lower_trace: tuple[float, ...]
-    lp_calls: int
 
 
 def spec_single_instant(f, n: int) -> RecursiveSpec:
@@ -112,7 +105,10 @@ def spec_hitting_time(space: StateSpace, targets, n: int) -> RecursiveSpec:
     return RecursiveSpec(g0=outside, steps=((outside, outside),) * (n - 1))
 
 
-_LIMIT_FAMILIES = ("hitting_probability", "hitting_time")
+HITTING_FAMILIES = {
+    "hitting_probability": spec_hitting_probability,
+    "hitting_time": spec_hitting_time,
+}
 
 
 def limit_infer(
@@ -131,29 +127,20 @@ def limit_infer(
     bit-for-bit with a fresh fixed-horizon computation, since the hitting
     families use the same step weights at every instant.
     """
-    if family not in _LIMIT_FAMILIES:
-        raise ValueError(f"family must be one of {_LIMIT_FAMILIES}, got {family!r}")
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    if family not in HITTING_FAMILIES:
+        raise ValueError(
+            f"family must be one of {tuple(HITTING_FAMILIES)}, got {family!r}"
+        )
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tolerance must be a finite positive number")
     if max_horizon < 2:
         raise ValueError("max_horizon must be at least 2")
-    warnings.warn(
-        "the growing-horizon limit is guaranteed to converge to the "
-        "unbounded-horizon value only for closed convex transition sets",
-        ConvergenceCaveatWarning,
-        stacklevel=2,
-    )
-
-    inside = model.states.indicator(targets)
-    outside = 1.0 - inside
-    if family == "hitting_probability":
-        g0, h, g = inside, outside, inside
-    else:
-        g0, h, g = outside, outside, outside
+    spec = HITTING_FAMILIES[family](model.states, targets, 2)
+    (h, g), = spec.steps
 
     counter = LpCounter()
-    upper_cond = g0.copy()
-    lower_cond = g0.copy()
+    upper_cond = spec.g0.copy()
+    lower_cond = spec.g0.copy()
     upper, lower = unconditional_bounds(model, upper_cond, lower_cond, counter)
     upper_trace = [upper]
     lower_trace = [lower]

@@ -53,7 +53,7 @@ def materialize_path_function(
     d, n = spec.dim, spec.horizon
     if d**n > cap:
         raise CapExceededError(
-            f"history of {d}**{n} = {d**n} entries exceeds cap {cap}"
+            f"history of {d}**{n} entries exceeds cap {cap}"
         )
     values = spec.g0.copy()
     with np.errstate(over="ignore", invalid="ignore"):

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from credalmc import cli
 from credalmc.cli import (
     dumps_document,
     main,
@@ -51,6 +52,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_process(*args):
+    """Run ``python ARGS`` on this checkout's package; warnings reach stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
 class TestValidateCommand:
     def test_valid_model(self, capsys):
         code, out, _ = run(capsys, "validate", MODEL)
@@ -68,6 +80,17 @@ class TestValidateCommand:
         code, _, err = run(capsys, "validate", str(bad))
         assert code == 2
         assert "not valid JSON" in err
+
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_integer_beyond_float_range(self, tmp_path, capsys, digits):
+        # 400 digits overflow a float; 5000 exceed Python's int-to-str limit.
+        model = tmp_path / "model.json"
+        model.write_text('{"states": ["a"], "rows": {"a": {"vertices": [[1%s]]}}, '
+                         '"initial": {"vertices": [[1]]}}' % ("0" * digits))
+        code, out, err = run(capsys, "validate", str(model))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "/nonexistent/model.json")
@@ -114,12 +137,13 @@ class TestInferCommand:
         assert doc["lower"] <= doc["upper"]
         assert doc["lp_calls"] == 2 * 1 * 2 + 2
 
-    def test_limit_query(self, capsys):
-        code, out, _ = run(
-            capsys, "infer", MODEL, str(DATA / "query_hitting_prob_limit.json")
-        )
-        assert code == 0
-        doc = json.loads(out)
+    def test_limit_query(self):
+        # In a fresh process, so that a warning would show on stderr.
+        query = str(DATA / "query_hitting_prob_limit.json")
+        proc = run_process("-m", "credalmc", "infer", MODEL, query)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        doc = json.loads(proc.stdout)
         assert doc["converged"] is True
         assert doc["horizon_reached"] < 500
         assert doc["upper"] == pytest.approx(1.0, abs=1e-6)
@@ -149,6 +173,44 @@ class TestInferCommand:
         code, _, err = run(capsys, "infer", MODEL, str(q))
         assert code == 2
         assert "hitting" in err
+
+    @pytest.mark.parametrize("limit", [
+        pytest.param('{"tol": Infinity}', id="infinite-tol"),
+        pytest.param('{"tol": NaN, "max_horizon": 5}', id="nan-tol"),
+        pytest.param('{"tol": 1e-6, "max_horizn": 5}', id="unknown-key"),
+        pytest.param('{"tol": 0}', id="zero-tol"),
+        pytest.param('{"max_horizon": true}', id="bool-max-horizon"),
+        pytest.param('{"max_horizon": 1}', id="max-horizon-below-two"),
+    ])
+    def test_bad_limit_settings_rejected(self, tmp_path, capsys, limit):
+        q = tmp_path / "query.json"
+        q.write_text(f'{{"kind": "hitting_time", "A": ["s1"], "limit": {limit}}}')
+        code, out, err = run(capsys, "infer", MODEL, str(q))
+        assert code == 2
+        assert out == ""
+        assert "'limit" in err
+
+    @pytest.mark.parametrize("value", [
+        "NaN", "Infinity", "-Infinity",
+        pytest.param("1" + "0" * 400, id="int-beyond-float-range"),
+    ])
+    @pytest.mark.parametrize("query, field", [
+        pytest.param('{{"kind": "single_instant", "f": {{"s0": {}}}, "n": 2}}',
+                     "f['s0']", id="f"),
+        pytest.param('{{"kind": "custom", "g0": {{"s1": 1.0}}, '
+                     '"steps": [{{"h": {{"s0": {}}}, "g": {{}}}}]}}',
+                     "steps[0].h['s0']", id="custom-h"),
+    ])
+    def test_non_finite_query_number_is_a_document_error(
+        self, tmp_path, capsys, value, query, field
+    ):
+        q = tmp_path / "query.json"
+        q.write_text(query.format(value))
+        for command in ("infer", "check"):
+            code, out, err = run(capsys, command, MODEL, str(q))
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {field} must be finite\n"
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "result.json"
@@ -200,14 +262,7 @@ class TestInferCommand:
         # Assertions vanish under -O; the overflow check must not.
         q = tmp_path / "query.json"
         q.write_text(json.dumps(OVERFLOW_QUERY))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(SRC), env.get("PYTHONPATH")])
-        )
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "credalmc", "infer", MODEL, str(q)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_process("-O", "-m", "credalmc", "infer", MODEL, str(q))
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
@@ -234,6 +289,25 @@ class TestCheckCommand:
         )
         assert code == 4
         assert "cap" in err
+
+    def test_history_far_over_the_cap_fails_before_the_engine(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 2**15000 has more digits than Python will convert to a string.
+        def no_engine(*args, **kwargs):
+            raise AssertionError("the engine ran before the cap check")
+
+        monkeypatch.setattr(cli, "conditional_bounds", no_engine)
+        q = tmp_path / "query.json"
+        q.write_text(
+            json.dumps({"kind": "hitting_probability", "A": ["s1"], "n": 15000})
+        )
+        code, out, err = run(capsys, "check", MODEL, str(q))
+        assert code == 4
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and "2**15000" in err
+        assert len(err) < 200
 
     @pytest.mark.parametrize("cap", ["nan", "inf", "-inf"])
     def test_non_finite_oracle_cap_is_a_usage_error(self, capsys, cap):

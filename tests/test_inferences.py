@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from credalmc import (
-    ConvergenceCaveatWarning,
     ImpreciseMarkovChain,
+    LimitResult,
+    NumericalError,
     StateSpace,
     VertexRow,
     conditional_bounds,
@@ -294,15 +295,31 @@ class TestLimitInfer:
         n = result.horizon_reached
         assert result.lp_calls == 2 * 2 * (n - 1) + 2 * n
 
-    def test_convexity_caveat_warned(self):
-        with pytest.warns(ConvergenceCaveatWarning):
-            limit_infer(e1_model(), "hitting_probability", ["s1"], max_horizon=5)
+    def test_empty_target_hitting_time_warns(self):
+        # The builder's warning: with no target the hitting time never settles.
+        with pytest.warns(UserWarning, match="grows linearly"):
+            limit_infer(e1_model(), "hitting_time", [], max_horizon=3)
+
+    def test_result_rejects_lower_above_upper(self):
+        with pytest.raises(NumericalError):
+            LimitResult(
+                upper_conditional=np.zeros(2),
+                lower_conditional=np.zeros(2),
+                upper=0.0,
+                lower=1.0,
+                lp_calls=0,
+                horizon_reached=1,
+                converged=False,
+                upper_trace=(0.0,),
+                lower_trace=(1.0,),
+            )
 
     def test_argument_validation(self):
         model = e1_model()
         with pytest.raises(ValueError):
             limit_infer(model, "time_average", ["s1"])
-        with pytest.raises(ValueError):
-            limit_infer(model, "hitting_probability", ["s1"], tol=0.0)
+        for tol in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                limit_infer(model, "hitting_probability", ["s1"], tol=tol)
         with pytest.raises(ValueError):
             limit_infer(model, "hitting_probability", ["s1"], max_horizon=1)
