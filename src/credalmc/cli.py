@@ -440,13 +440,16 @@ def cmd_check(
 # entry point
 
 def _history_cap(text: str) -> int:
-    """Parse ``--oracle-cap``: a finite number, truncated to an integer."""
+    """Parse ``--oracle-cap``: a finite number, truncated to an integer of
+    at least 1."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
     return int(value)
 
 

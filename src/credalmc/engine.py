@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ImpreciseMarkovChain, NumericalError, as_vector
-from .lp import LpCounter, maximize, minimize
+from .lp import LpCounter, Objective, maximize, minimize
 from .operators import lower_transition, upper_transition
 
 # Slack allowed before the computed bounds are declared inconsistent.
@@ -129,8 +129,12 @@ def unconditional_bounds(
     The upper bound pairs with the upper conditional vector and the lower
     bound with the lower one; mixing them has no meaning here.
     """
-    upper_cond = as_vector(upper_cond, size=model.size, name="upper conditional")
-    lower_cond = as_vector(lower_cond, size=model.size, name="lower conditional")
+    upper_cond = Objective.checked(
+        upper_cond, size=model.size, name="upper conditional"
+    )
+    lower_cond = Objective.checked(
+        lower_cond, size=model.size, name="lower conditional"
+    )
     upper = maximize(model.initial, upper_cond, counter).value
     lower = minimize(model.initial, lower_cond, counter).value
     return upper, lower

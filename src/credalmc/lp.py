@@ -1,16 +1,19 @@
 """Linear optimisation of a gamble over one credal row.
 
 Every transition-operator evaluation reduces to one call of ``maximize`` (or
-its conjugate ``minimize``) on a single row.  Interval rows use the exact
-sorting solution: one stable argsort of the objective, then a vectorised
-greedy pour of the remaining mass (``IntervalRow.pour``) over the row's
-precomputed headroom.  Vertex rows use direct enumeration, and constraint
-rows run a dense two-phase simplex restricted to the probability simplex.
-Only the objective changes from one call on a constraint row to the next,
-so phase 1 is solved once per row and kept on it; each call then runs
-phase 2 on a copy of that start, in plain Python floats (the tableaux are
-too small for numpy's per-operation overhead to pay off).  All three paths
-are deterministic: identical inputs produce bit-identical output.
+its conjugate ``minimize``) on a single row.  The d rows of one transition
+share their objective, so the operators wrap the gamble once in an
+``Objective``: it is checked once, and its negation and its stable sort
+orders are computed on first use and kept for the other rows.  Interval
+rows use the exact sorting solution: the objective's stable order, then a
+vectorised greedy pour of the remaining mass (``IntervalRow.pour``) over the
+row's precomputed headroom.  Vertex rows use direct enumeration, and
+constraint rows run a dense two-phase simplex restricted to the probability
+simplex.  Only the objective changes from one call on a constraint row to
+the next, so phase 1 is solved once per row and kept on it; each call then
+runs phase 2 on a copy of that start, in plain Python floats (the tableaux
+are too small for numpy's per-operation overhead to pay off).  All three
+paths are deterministic: identical inputs produce bit-identical output.
 """
 
 from __future__ import annotations
@@ -61,24 +64,80 @@ class LpCounter:
         return f"LpCounter(calls={self.calls})"
 
 
+class Objective:
+    """A gamble optimised over many rows, checked once.
+
+    ``values`` is a read-only view of a finite 1-D float array; build one
+    with ``Objective.checked``, or directly from an array that has already
+    passed ``as_vector``.  The negation and the two stable sort orders are
+    computed on first use and kept, so every row after the first reuses
+    them.
+    """
+
+    __slots__ = ("values", "_negated", "_orders")
+
+    def __init__(self, values: np.ndarray):
+        self.values = values.view()
+        self.values.flags.writeable = False
+        self._negated = None
+        self._orders = [None, None]
+
+    @classmethod
+    def checked(cls, values, size: int | None = None, name: str = "objective"):
+        return cls(as_vector(values, size=size, name=name))
+
+    @property
+    def negated(self) -> np.ndarray:
+        if self._negated is None:
+            self._negated = -self.values
+        return self._negated
+
+    def target(self, minimise: bool) -> np.ndarray:
+        """The vector that is maximised: the gamble, or its negation when
+        minimising."""
+        return self.negated if minimise else self.values
+
+    def order(self, minimise: bool) -> np.ndarray:
+        """States by decreasing ``target(minimise)``, ties by ascending
+        index: the stable argsort of ``-target``.  When minimising that is
+        ``-(-values)``, which is ``values`` bit for bit."""
+        order = self._orders[minimise]
+        if order is None:
+            order = np.argsort(self.target(not minimise), kind="stable")
+            self._orders[minimise] = order
+        return order
+
+
+def _objective(objective, dim: int) -> Objective:
+    if isinstance(objective, Objective):
+        if objective.values.size != dim:
+            raise ValueError(
+                f"objective has length {objective.values.size}, expected {dim}"
+            )
+        return objective
+    return Objective.checked(objective, size=dim)
+
+
 def maximize(row: CredalRow, objective, counter: LpCounter | None = None) -> LpResult:
     """Maximise a linear objective over a credal row.
 
     Returns the supremum of ``expectation(p, objective)`` over the row
-    together with a maximising pmf.  Dispatches on the row representation;
-    ties are broken by ascending state index (intervals) or by lowest list
-    index (vertices).
+    together with a maximising pmf.  ``objective`` is a vector, checked on
+    every call, or an ``Objective`` shared by many calls, which is only
+    checked for its length.  Dispatches on the row representation; ties are
+    broken by ascending state index (intervals) or by lowest list index
+    (vertices).
     """
     if counter is not None:
         counter.bump()
-    return _maximize(row, as_vector(objective, size=row.dim, name="objective"))
+    return _maximize(row, _objective(objective, row.dim), False)
 
 
 def minimize(row: CredalRow, objective, counter: LpCounter | None = None) -> LpResult:
     """Minimise a linear objective over a credal row (conjugate of maximize)."""
     if counter is not None:
         counter.bump()
-    res = _maximize(row, -as_vector(objective, size=row.dim, name="objective"))
+    res = _maximize(row, _objective(objective, row.dim), True)
     return LpResult(value=-res.value, maximizer=res.maximizer, iterations=res.iterations)
 
 
@@ -101,22 +160,25 @@ def feasible(row: CredalRow) -> bool:
     raise TypeError(f"unsupported credal row type {type(row).__name__}")
 
 
-def _maximize(row: CredalRow, c: np.ndarray) -> LpResult:
+def _maximize(row: CredalRow, obj: Objective, minimise: bool) -> LpResult:
+    """Maximise ``obj.target(minimise)`` over the row."""
     if isinstance(row, IntervalRow):
-        return _maximize_intervals(row, c)
+        return _maximize_intervals(row, obj, minimise)
     if isinstance(row, VertexRow):
-        return _maximize_vertices(row, c)
+        return _maximize_vertices(row, obj.target(minimise))
     if isinstance(row, ConstraintRow):
-        return _simplex_max(row, c)
+        # The simplex minimises -c; when minimising, -c is the gamble itself.
+        return _simplex_max(row, obj.target(minimise), obj.target(not minimise))
     raise TypeError(f"unsupported credal row type {type(row).__name__}")
 
 
-def _maximize_intervals(row: IntervalRow, c: np.ndarray) -> LpResult:
+def _maximize_intervals(row: IntervalRow, obj: Objective, minimise: bool) -> LpResult:
     # Exact for box-on-simplex rows: give every state its lower bound, then
     # pour the remaining mass into states in decreasing objective order.
     if row.empty:
         raise InfeasibleRowError("interval row is empty")
-    p, iterations = row.pour(np.argsort(-c, kind="stable"))
+    p, iterations = row.pour(obj.order(minimise))
+    c = obj.target(minimise)
     return LpResult(value=float(np.dot(c, p)), maximizer=p, iterations=iterations)
 
 
@@ -130,9 +192,10 @@ def _maximize_vertices(row: VertexRow, c: np.ndarray) -> LpResult:
     )
 
 
-def _simplex_max(row: ConstraintRow, c: np.ndarray) -> LpResult:
+def _simplex_max(row: ConstraintRow, c: np.ndarray, neg_c: np.ndarray) -> LpResult:
     """Dense two-phase simplex for: max c @ p  s.t.  a @ p <= b,
-    sum(p) = 1, p >= 0, on the row's scaled inequalities.
+    sum(p) = 1, p >= 0, on the row's scaled inequalities.  ``neg_c`` is
+    ``-c``, the cost vector it minimises.
 
     Uses Bland's smallest-index rule for both the entering and the leaving
     variable, which excludes cycling and fixes the pivot sequence, so the
@@ -146,7 +209,7 @@ def _simplex_max(row: ConstraintRow, c: np.ndarray) -> LpResult:
     """
     start, basis, iterations = _phase_one(row)
     d = row.dim
-    costs = (-c).tolist()
+    costs = neg_c.tolist()
     tableau = list(start)
     basis = list(basis)
     tableau.append(

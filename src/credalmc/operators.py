@@ -13,18 +13,14 @@ from __future__ import annotations
 import numpy as np
 
 from .core import ImpreciseMarkovChain, as_vector
-from .lp import LpCounter, maximize, minimize
-
-
-def _check_dim(model: ImpreciseMarkovChain, f) -> np.ndarray:
-    return as_vector(f, size=model.size, name="gamble")
+from .lp import LpCounter, Objective, maximize, minimize
 
 
 def _optimise_blocks(
     model: ImpreciseMarkovChain, blocks, optimise, counter
 ) -> np.ndarray:
     """Optimise objective block i over the credal row of state i mod d, with
-    d the number of states; ``blocks`` is a sequence of length-d vectors.
+    d the number of states; ``blocks`` is an iterable of ``Objective``s.
 
     ``optimise`` is ``maximize`` or ``minimize``; every block costs exactly
     one row optimisation.
@@ -45,16 +41,16 @@ def upper_transition(
     state x, i.e. the tight upper bound on the one-step conditional
     expectation of f given the current state.
     """
-    f = _check_dim(model, f)
-    return _optimise_blocks(model, [f] * f.size, maximize, counter)
+    f = Objective.checked(f, size=model.size, name="gamble")
+    return _optimise_blocks(model, [f] * model.size, maximize, counter)
 
 
 def lower_transition(
     model: ImpreciseMarkovChain, f, counter: LpCounter | None = None
 ) -> np.ndarray:
     """Conjugate of ``upper_transition``: entry x minimises over the row of x."""
-    f = _check_dim(model, f)
-    return _optimise_blocks(model, [f] * f.size, minimize, counter)
+    f = Objective.checked(f, size=model.size, name="gamble")
+    return _optimise_blocks(model, [f] * model.size, minimize, counter)
 
 
 def iterate_upper(
@@ -63,7 +59,7 @@ def iterate_upper(
     """k-fold application of the upper transition operator (k = 0 is the identity)."""
     if k < 0:
         raise ValueError("iteration count must be nonnegative")
-    out = _check_dim(model, f).copy()
+    out = as_vector(f, size=model.size, name="gamble").copy()
     for _ in range(k):
         out = upper_transition(model, out, counter)
     return out
@@ -77,7 +73,9 @@ def iterate_lower(
     Bit-identical to applying ``lower_transition`` k times, because the
     lower operator is exactly the negated upper operator of the negated gamble.
     """
-    return -iterate_upper(model, -_check_dim(model, f), k, counter)
+    return -iterate_upper(
+        model, -as_vector(f, size=model.size, name="gamble"), k, counter
+    )
 
 
 def _contract(
@@ -88,7 +86,12 @@ def _contract(
         raise ValueError(
             f"history array of shape {hist.shape} is not (d,)*n with d = {d}, n >= 2"
         )
-    out = _optimise_blocks(model, hist.reshape(-1, d), optimise, counter)
+    blocks = np.asarray(hist.reshape(-1, d), dtype=float)
+    if not np.isfinite(blocks).all():
+        raise ValueError("objective contains non-finite entries")
+    # A generator, so that only the block in hand keeps its cached orders.
+    objectives = (Objective(block) for block in blocks)
+    out = _optimise_blocks(model, objectives, optimise, counter)
     return out.reshape(hist.shape[:-1])
 
 

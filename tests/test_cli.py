@@ -321,6 +321,18 @@ class TestCheckCommand:
         assert "--oracle-cap: must be finite" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("cap", ["-1", "0", "0.5"])
+    def test_oracle_cap_below_one_is_a_usage_error(self, capsys, cap):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", MODEL, str(DATA / "query_hitting_prob_n3.json"),
+                  f"--oracle-cap={cap}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err
+        assert f"--oracle-cap: must be at least 1, got '{cap}'" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_oracle_overflow_is_a_numerical_error(self, tmp_path, capsys):
         model = tmp_path / "model.json"
         model.write_text(json.dumps(ORACLE_OVERFLOW_MODEL))

@@ -447,3 +447,68 @@ class TestConstraintSimplexMatchesReference:
         assert repr(row) == before
         assert [f.name for f in fields(row) if f.compare] == ["a", "b"]
         assert [f.name for f in fields(row) if f.repr] == ["a", "b"]
+
+
+class TestSharedObjective:
+    """An ``Objective`` shared by many rows, with its orders kept between
+    calls, gives bit for bit what a fresh plain vector gives on each row."""
+
+    _entry = st.one_of(
+        st.integers(-2, 2).map(float), st.just(-0.0), st.floats(-5.0, 5.0)
+    )
+    _lower = st.one_of(st.just(0.0), st.just(-0.0), st.floats(0.0, 0.3))
+    _gap = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+
+    @staticmethod
+    def _vertex_row(data, d):
+        # Unit vectors and the uniform pmf, repeated: ties on every objective.
+        pmfs = [np.eye(d)[j] for j in range(d)] + [np.full(d, 1.0 / d)]
+        picks = data.draw(st.lists(st.integers(0, d), min_size=1, max_size=4))
+        return VertexRow(vertices=[pmfs[j] for j in picks])
+
+    def _row(self, data, d):
+        kind = data.draw(st.sampled_from(("interval", "vertex", "constraint")))
+        if kind == "interval":
+            lower = data.draw(st.lists(self._lower, min_size=d, max_size=d))
+            gap = data.draw(st.lists(self._gap, min_size=d, max_size=d))
+            return IntervalRow(lower=lower, upper=[lo + g for lo, g in zip(lower, gap)])
+        if kind == "vertex":
+            return self._vertex_row(data, d)
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        return random_constraint_row(np.random.default_rng(seed), d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_shared_objective_matches_fresh_vectors(self, data):
+        d = data.draw(st.integers(1, 6))
+        c = np.array(data.draw(st.lists(self._entry, min_size=d, max_size=d)))
+        rows = [self._row(data, d) for _ in range(data.draw(st.integers(1, 6)))]
+        shared = lp.Objective.checked(c)
+
+        def via(optimise, row, objective):
+            res = optimise(row, objective)
+            return res.value, res.maximizer, res.iterations
+
+        for row in rows:
+            order = data.draw(st.permutations([maximize, minimize]))
+            for optimise in order:
+                assert _outcome(lambda: via(optimise, row, shared)) == _outcome(
+                    lambda: via(optimise, row, c.copy())
+                )
+
+    def test_wrong_length_matches_the_plain_vector_message(self):
+        c = [1.0, 2.0, 3.0]
+        for optimise in (maximize, minimize):
+            with pytest.raises(ValueError) as plain:
+                optimise(E1_ROW, c)
+            with pytest.raises(ValueError) as shared:
+                optimise(E1_ROW, lp.Objective.checked(c))
+            assert str(shared.value) == str(plain.value)
+            assert str(plain.value) == "objective has length 3, expected 2"
+
+    def test_values_are_a_read_only_view(self):
+        c = np.array([0.0, 1.0])
+        shared = lp.Objective.checked(c)
+        assert not shared.values.flags.writeable
+        assert c.flags.writeable
+        assert maximize(E1_ROW, shared).value == maximize(E1_ROW, c).value

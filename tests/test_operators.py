@@ -13,10 +13,13 @@ from credalmc import (
     iterate_upper,
     lower_transition,
     materialize_path_function,
+    maximize,
+    minimize,
     upper_transition,
 )
 from credalmc.cli import parse_model
 from helpers import (
+    E1_ROW_S0,
     e1_model,
     endpoint_bruteforce_two_step_upper,
     random_gamble,
@@ -224,3 +227,43 @@ class TestExtended:
         counter = LpCounter()
         extended_upper(model, np.zeros((2, 2, 2)), counter)
         assert counter.calls == 4
+
+
+class TestNonFiniteObjectives:
+    """Checked once per gamble or history array, not once per row: a
+    non-finite entry is still refused, on every entry point."""
+
+    CALLS = {
+        "maximize": lambda v: maximize(E1_ROW_S0, [0.5, v]),
+        "minimize": lambda v: minimize(E1_ROW_S0, [0.5, v]),
+        "upper_transition": lambda v: upper_transition(e1_model(), [v, 0.5]),
+        "lower_transition": lambda v: lower_transition(e1_model(), [v, 0.5]),
+        # In the last block, after blocks that are fine.
+        "extended_upper": lambda v: extended_upper(
+            e1_model(), np.array([[0.0, 1.0], [2.0, v]])
+        ),
+        "extended_lower": lambda v: extended_lower(
+            e1_model(), np.array([[[0.0, 1.0], [2.0, 3.0]], [[1.0, 1.0], [v, 0.0]]])
+        ),
+    }
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_rejected(self, call, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            self.CALLS[call](value)
+
+
+class TestSortOnce:
+    @pytest.mark.parametrize("transition", [upper_transition, lower_transition])
+    def test_transition_sorts_its_gamble_once(self, monkeypatch, transition):
+        model = random_model(np.random.default_rng(5), 5, kinds=("intervals",))
+        f = random_gamble(rng, 5)
+        expected = transition(model, f)
+        sorts = []
+        argsort = np.argsort
+        monkeypatch.setattr(
+            np, "argsort", lambda *a, **k: sorts.append(1) or argsort(*a, **k)
+        )
+        assert np.array_equal(transition(model, f), expected)
+        assert len(sorts) == 1
