@@ -52,8 +52,8 @@ from .operators import (
     upper_transition,
 )
 from .oracle import (
-    DEFAULT_ASSIGNMENT_CAP,
-    DEFAULT_HISTORY_CAP,
+    ASSIGNMENT_CAP,
+    HISTORY_CAP,
     enumerate_vertex_processes,
     materialize_path_function,
     naive_conditional_bounds,
@@ -62,12 +62,12 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "ASSIGNMENT_CAP",
     "BoundsResult",
     "CapExceededError",
     "ConstraintRow",
     "CredalRow",
-    "DEFAULT_ASSIGNMENT_CAP",
-    "DEFAULT_HISTORY_CAP",
+    "HISTORY_CAP",
     "ImpreciseMarkovChain",
     "InfeasibleRowError",
     "IntervalRow",

@@ -58,11 +58,7 @@ from .inferences import (
     spec_time_average,
 )
 from .lp import LpCounter
-from .oracle import (
-    DEFAULT_HISTORY_CAP,
-    materialize_path_function,
-    naive_conditional_bounds,
-)
+from .oracle import materialize_path_function, naive_conditional_bounds
 
 CHECK_TOLERANCE = 1e-8
 
@@ -395,18 +391,13 @@ def cmd_infer(model_path: str, query_path: str, output: str | None = None) -> in
     return 0
 
 
-def cmd_check(
-    model_path: str,
-    query_path: str,
-    oracle_cap: int = DEFAULT_HISTORY_CAP,
-    output: str | None = None,
-) -> int:
+def cmd_check(model_path: str, query_path: str, output: str | None = None) -> int:
     model = _load_model(model_path)
     query = parse_query(_load_json(query_path, "query"), model.states)
     if query.limit is not None:
         raise DocumentError("check needs a fixed horizon; remove the 'limit' object")
     # Materialised first, so that a target over the cap fails before any LP.
-    hist = materialize_path_function(query.spec, cap=oracle_cap)
+    hist = materialize_path_function(query.spec)
     engine_counter = LpCounter()
     upper_cond, lower_cond = conditional_bounds(model, query.spec, engine_counter)
     oracle_counter = LpCounter()
@@ -439,20 +430,6 @@ def cmd_check(
 # ---------------------------------------------------------------------------
 # entry point
 
-def _history_cap(text: str) -> int:
-    """Parse ``--oracle-cap``: a finite number, truncated to an integer of
-    at least 1."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
-    return int(value)
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -477,9 +454,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument("model", help="path to the model JSON file")
     p_check.add_argument("query", help="path to the query JSON file")
-    p_check.add_argument("--oracle-cap", type=_history_cap,
-                         default=DEFAULT_HISTORY_CAP,
-                         help="cap on materialised history entries (default 1e7)")
     p_check.add_argument("--output", default=None,
                          help="write the comparison document here instead of stdout")
     return parser
@@ -498,12 +472,7 @@ def main(argv=None) -> int:
         if args.command == "infer":
             return cmd_infer(args.model, args.query, output=args.output)
         if args.command == "check":
-            return cmd_check(
-                args.model,
-                args.query,
-                oracle_cap=args.oracle_cap,
-                output=args.output,
-            )
+            return cmd_check(args.model, args.query, output=args.output)
     except DocumentError as exc:
         return _fail(exc, 2)
     except NumericalError as exc:

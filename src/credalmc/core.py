@@ -205,7 +205,10 @@ class ConstraintRow:
         object.__setattr__(self, "a", _freeze(a))
         object.__setattr__(self, "b", _freeze(b))
         object.__setattr__(self, "scaled_a", _freeze(a / norms[:, None]))
-        object.__setattr__(self, "scaled_b", _freeze(b / norms))
+        # A subnormal norm can overflow b to +-inf, which is exact: on the
+        # simplex |scaled_a @ p| <= 1, so +inf always holds and -inf never.
+        with np.errstate(over="ignore"):
+            object.__setattr__(self, "scaled_b", _freeze(b / norms))
 
     @property
     def dim(self) -> int:
@@ -244,14 +247,14 @@ def expectation(p, f) -> float:
     return float(np.dot(p, f))
 
 
-def is_pmf(p, tol: float = EPS_PROB) -> bool:
-    """True iff ``p`` is a probability mass function within tolerance."""
+def is_pmf(p) -> bool:
+    """True iff ``p`` is a probability mass function within ``EPS_PROB``."""
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
         return False
-    if np.any(arr < -tol) or np.any(arr > 1.0 + tol):
+    if np.any(arr < -EPS_PROB) or np.any(arr > 1.0 + EPS_PROB):
         return False
-    return abs(float(arr.sum()) - 1.0) <= tol
+    return abs(float(arr.sum()) - 1.0) <= EPS_PROB
 
 
 def interval_witness(row: IntervalRow) -> np.ndarray:
@@ -260,14 +263,15 @@ def interval_witness(row: IntervalRow) -> np.ndarray:
     return row.pour(np.arange(row.dim))[0]
 
 
-def row_contains(row: CredalRow, p, tol: float = EPS_FEAS) -> bool:
-    """Membership test of a pmf in a credal row, within tolerance.
+def row_contains(row: CredalRow, p) -> bool:
+    """Membership test of a pmf in a credal row, within ``EPS_FEAS``.
 
     Vertex rows test proximity to one of the listed vertices, which is the
     membership notion relevant for optimiser output.  Constraint rows are
     tested on their scaled inequalities, as the simplex sees them.
     """
     p = as_vector(p, size=row.dim, name="pmf")
+    tol = EPS_FEAS
     if abs(float(p.sum()) - 1.0) > tol or np.any(p < -tol):
         return False
     if isinstance(row, IntervalRow):

@@ -3,16 +3,19 @@
 Three independent routes are provided: explicit materialisation of the
 recursive target on all histories, full backward contraction of the
 resulting history array via the extended operators, and brute-force
-enumeration of extreme compatible processes for vertex-style rows.  A history
-array on horizon n has shape ``(d,)*n`` and holds the target's value on path
-(x1, ..., xn) at ``hist[x1, ..., xn]``.  Materialisation is the one place
-that checks the size cap and the finiteness of the values.  These routes
+enumeration of extreme compatible processes for vertex-style rows, as a
+set-valued recursion over the history tree.  A history array on horizon n
+has shape ``(d,)*n`` and holds the target's value on path (x1, ..., xn) at
+``hist[x1, ..., xn]``.  Materialisation is the one place that checks the
+history size and the finiteness of the values.  The two size limits,
+``HISTORY_CAP`` and ``ASSIGNMENT_CAP``, are fixed constants.  These routes
 exist purely to check the linear-time engine on desk-scale instances;
 nothing here is performance work.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 import numpy as np
@@ -31,29 +34,27 @@ from .operators import extended_lower, extended_upper
 
 # Largest number of materialised history values before raising, so that an
 # oversized request fails cleanly instead of exhausting memory.
-DEFAULT_HISTORY_CAP = 10_000_000
+HISTORY_CAP = 10_000_000
 
 # Cap on the number of enumerated process assignments (summed over starting
 # states), which bounds the cost of the brute-force envelope check.
-DEFAULT_ASSIGNMENT_CAP = 1_000_000
+ASSIGNMENT_CAP = 1_000_000
 
 
-def materialize_path_function(
-    spec: RecursiveSpec, cap: int = DEFAULT_HISTORY_CAP
-) -> np.ndarray:
+def materialize_path_function(spec: RecursiveSpec) -> np.ndarray:
     """Evaluate the recursive target explicitly on every state history.
 
     Step k prepends one time instant: with the accumulated values t on
     suffix histories, the new value on (x, suffix) is h_k(x) * t(suffix)
     + g_k(x).  This is the definition the engine never expands; the result
     is an array of shape ``(d,)*horizon``.  Raises ``CapExceededError``
-    before allocating if d**horizon exceeds ``cap``, and ``NumericalError``
-    if a value is not finite.
+    before allocating if d**horizon exceeds ``HISTORY_CAP``, and
+    ``NumericalError`` if a value is not finite.
     """
     d, n = spec.dim, spec.horizon
-    if d**n > cap:
+    if d**n > HISTORY_CAP:
         raise CapExceededError(
-            f"history of {d}**{n} entries exceeds cap {cap}"
+            f"history of {d}**{n} entries exceeds cap {HISTORY_CAP}"
         )
     values = spec.g0.copy()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -108,20 +109,19 @@ def _row_extreme_points(row: CredalRow, where: str) -> list[np.ndarray]:
 
 
 def enumerate_vertex_processes(
-    model: ImpreciseMarkovChain,
-    hist: np.ndarray,
-    cap: int = DEFAULT_ASSIGNMENT_CAP,
+    model: ImpreciseMarkovChain, hist: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Brute-force envelope over extreme compatible processes, given the start.
 
     A compatible process may pick a different row element after every
     history, so one assignment attaches an extreme pmf to every history node
-    of depth below the horizon.  For each assignment the precise conditional
-    expectation of the history function is evaluated by plain forward
-    weighting; the componentwise maximum and minimum over assignments are
-    returned.  Assignments for different starting states never interact, so
-    the enumeration runs per starting state; the cap bounds the total number
-    of assignments across all starts.
+    of depth below the horizon.  Subtrees never interact, so the
+    expectations below a node, one per assignment of its subtree, are every
+    ``sum(pmf[y] * w[y])`` with ``pmf`` an extreme point of the node's row
+    and ``w`` one expectation from each child.  The componentwise maximum
+    and minimum over each start's expectations are returned.  Assignments
+    are counted first, per depth and last state; more than
+    ``ASSIGNMENT_CAP`` over all starts raises ``CapExceededError``.
     """
     _check_history(model, hist)
     d = model.size
@@ -134,57 +134,27 @@ def enumerate_vertex_processes(
         _row_extreme_points(row, f"row {label!r}")
         for label, row in zip(model.states.labels, model.rows)
     ]
+    counts = [1] * d
+    for _ in range(n - 1):
+        below = math.prod(counts)
+        counts = [min(len(e) * below, ASSIGNMENT_CAP + 1) for e in extremes]
+    if sum(counts) > ASSIGNMENT_CAP:
+        raise CapExceededError(
+            f"process enumeration needs more than {ASSIGNMENT_CAP} assignments"
+        )
 
-    # History nodes of depth 1..n-1 in the subtree of each starting state,
-    # identified by (flat prefix index, depth); node order is deterministic.
-    total_assignments = 0
-    per_state_nodes: list[list[tuple[int, int]]] = []
-    for x in range(d):
-        nodes = []
-        level = [(x, 1)]
-        while level:
-            nodes.extend(level)
-            level = [
-                (idx * d + y, depth + 1)
-                for idx, depth in level
-                if depth + 1 <= n - 1
-                for y in range(d)
-            ]
-        per_state_nodes.append(nodes)
-        count = 1
-        for idx, _ in nodes:
-            count *= len(extremes[idx % d])
-        total_assignments += count
-        if total_assignments > cap:
-            raise CapExceededError(
-                f"process enumeration needs more than {cap} assignments"
-            )
+    def expectations(idx: int, depth: int) -> list[float]:
+        if depth == n:
+            return [float(values[idx])]
+        children = [expectations(idx * d + y, depth + 1) for y in range(d)]
+        return [
+            sum(pmf[y] * w[y] for y in range(d) if pmf[y] != 0.0)
+            for pmf in extremes[idx % d]
+            for w in product(*children)
+        ]
 
-    upper = np.empty(d)
-    lower = np.empty(d)
-    for x in range(d):
-        nodes = per_state_nodes[x]
-        node_pos = {node: j for j, node in enumerate(nodes)}
-        choice_lists = [extremes[idx % d] for idx, _ in nodes]
-        best = -np.inf
-        worst = np.inf
-        for assignment in product(*choice_lists):
-
-            def path_expectation(idx: int, depth: int) -> float:
-                if depth == n:
-                    return float(values[idx])
-                pmf = assignment[node_pos[(idx, depth)]]
-                return sum(
-                    pmf[y] * path_expectation(idx * d + y, depth + 1)
-                    for y in range(d)
-                    if pmf[y] != 0.0
-                )
-
-            value = path_expectation(x, 1)
-            if value > best:
-                best = value
-            if value < worst:
-                worst = value
-        upper[x] = best
-        lower[x] = worst
+    per_start = [expectations(x, 1) for x in range(d)]
+    # Starting from an infinity skips NaN expectations.
+    upper = np.array([max([-np.inf, *e]) for e in per_start])
+    lower = np.array([min([np.inf, *e]) for e in per_start])
     return upper, lower

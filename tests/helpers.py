@@ -227,7 +227,8 @@ def reference_simplex_max(c, a_ub, b_ub):
     norms = np.abs(a_ub).max(axis=1, initial=0.0)
     norms[norms == 0.0] = 1.0
     a_ub = a_ub / norms[:, None]
-    b_ub = b_ub / norms
+    with np.errstate(over="ignore"):  # a subnormal norm; see ConstraintRow
+        b_ub = b_ub / norms
 
     d = c.size
     m = a_ub.shape[0]
@@ -289,16 +290,19 @@ def reference_simplex_max(c, a_ub, b_ub):
                 break
             leave = -1
             best_ratio = np.inf
-            for i in range(n_rows):
-                coef = tableau[i, enter]
-                if coef > PIVOT_TOL:
-                    ratio = tableau[i, -1] / coef
-                    if ratio < best_ratio - PIVOT_TOL or (
-                        abs(ratio - best_ratio) <= PIVOT_TOL
-                        and (leave < 0 or basis[i] < basis[leave])
-                    ):
-                        best_ratio = ratio
-                        leave = i
+            # An infinite right-hand side gives an infinite ratio, which
+            # never wins the test; inf - inf there is NaN and compares false.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i in range(n_rows):
+                    coef = tableau[i, enter]
+                    if coef > PIVOT_TOL:
+                        ratio = tableau[i, -1] / coef
+                        if ratio < best_ratio - PIVOT_TOL or (
+                            abs(ratio - best_ratio) <= PIVOT_TOL
+                            and (leave < 0 or basis[i] < basis[leave])
+                        ):
+                            best_ratio = ratio
+                            leave = i
             if leave < 0:
                 raise NumericalError(
                     "unbounded direction in a simplex-constrained program"

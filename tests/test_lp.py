@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -78,7 +79,7 @@ class TestMaximize:
             row = random_row(rng, d)
             c = rng.uniform(-3, 3, size=d)
             res = maximize(row, c)
-            assert row_contains(row, res.maximizer, tol=1e-8)
+            assert row_contains(row, res.maximizer)
             assert res.value == pytest.approx(
                 expectation(res.maximizer, c), abs=1e-9
             )
@@ -145,6 +146,27 @@ class TestSimplexEdgeCases:
         space = StateSpace(("s0", "s1"))
         model = ImpreciseMarkovChain(states=space, initial=row, rows=(row, row))
         assert "initial set: constraint system admits no pmf" in validate_model(model)
+
+    # A subnormal max-norm scales the bound to an infinity, which is exact:
+    # on the simplex the scaled left-hand side lies in [-1, 1].
+    SUBNORMAL = [[1e-310, 0.0]]
+
+    def test_subnormal_row_bounded_above_is_the_whole_simplex(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            row = ConstraintRow(a=self.SUBNORMAL, b=[1.0])
+            assert feasible(row)
+            assert maximize(row, [1.0, 0.0]).value == 1.0
+            assert minimize(row, [1.0, 0.0]).value == 0.0
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+    def test_subnormal_row_bounded_below_is_infeasible(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            row = ConstraintRow(a=self.SUBNORMAL, b=[-1.0])
+            with pytest.raises(InfeasibleRowError):
+                maximize(row, [1.0, 0.0])
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 class TestMinimize:
@@ -380,6 +402,8 @@ class TestConstraintSimplexMatchesReference:
             ([[1e-12, 0.0]], [0.5e-12], [1.0, 0.0]),
             ([[1e12, 1e12]], [-2e12], [1.0, 0.0]),  # scaled, infeasible
             ([[-1e12, 0.0, 0.0], [0.0, 1e-12, 0.0]], [-3e11, 2e-13], [0.0, 1.0, 2.0]),
+            ([[1e-310, 0.0], [1.0, 0.0]], [1.0, 0.5], [1.0, 0.0]),  # b scales to inf
+            ([[1e-310, 0.0]], [-1.0], [1.0, 0.0]),  # b scales to -inf: infeasible
         ],
     )
     def test_edge_cases(self, a, b, c):

@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from credalmc import (
+    ASSIGNMENT_CAP,
+    HISTORY_CAP,
     CapExceededError,
+    ImpreciseMarkovChain,
     LpCounter,
     NumericalError,
     RecursiveSpec,
+    VertexRow,
     conditional_bounds,
     enumerate_vertex_processes,
     materialize_path_function,
@@ -19,6 +23,7 @@ from helpers import (
     e1_model,
     random_gamble,
     random_model,
+    random_pmf,
     random_spec,
     singleton_model,
 )
@@ -67,9 +72,11 @@ class TestMaterialize:
             materialize_path_function(spec)
 
     def test_cap(self):
-        spec = spec_hitting_probability(E1_SPACE, ["s1"], 12)
-        with pytest.raises(CapExceededError):
-            materialize_path_function(spec, cap=1000)
+        # 2**24 entries exceed HISTORY_CAP; the check runs before allocation.
+        assert 2**23 < HISTORY_CAP < 2**24
+        spec = spec_hitting_probability(E1_SPACE, ["s1"], 24)
+        with pytest.raises(CapExceededError, match=r"2\*\*24 entries"):
+            materialize_path_function(spec)
 
 
 class TestNaiveBounds:
@@ -140,10 +147,24 @@ class TestEnumerate:
         assert list(lower) == [4.0, -2.0]
 
     def test_assignment_cap(self):
-        model = random_model(rng, 2, kinds=("vertices",), max_vertices=3)
-        hist = materialize_path_function(random_spec(rng, 2, 4, 4))
-        with pytest.raises(CapExceededError):
-            enumerate_vertex_processes(model, hist, cap=1)
+        # Two vertices per row: each start has 2**(2**(n-1) - 1) assignments,
+        # so horizon 5 needs 2 * 2**15 in total and horizon 6 needs 2 * 2**31.
+        assert 2 * 2**15 <= ASSIGNMENT_CAP < 2 * 2**31
+        rows = tuple(
+            VertexRow(vertices=[random_pmf(rng, 2), random_pmf(rng, 2)])
+            for _ in range(2)
+        )
+        model = ImpreciseMarkovChain(states=E1_SPACE, initial=rows[0], rows=rows)
+        hist = materialize_path_function(random_spec(rng, 2, 5, 5))
+        upper, lower = enumerate_vertex_processes(model, hist)
+        naive_upper, naive_lower = naive_conditional_bounds(model, hist)
+        assert upper == pytest.approx(naive_upper, abs=1e-12)
+        assert lower == pytest.approx(naive_lower, abs=1e-12)
+        hist = materialize_path_function(random_spec(rng, 2, 6, 6))
+        with pytest.raises(
+            CapExceededError, match=f"more than {ASSIGNMENT_CAP} assignments"
+        ):
+            enumerate_vertex_processes(model, hist)
 
     def test_wide_interval_rows_rejected(self):
         model = random_model(rng, 3, kinds=("intervals",))
