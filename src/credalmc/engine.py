@@ -89,7 +89,7 @@ def recursion_step(h, g, upper_next, lower_next):
     with np.errstate(over="ignore", invalid="ignore"):
         new_upper = np.where(nonneg, h * upper_next, h * lower_next) + g
         new_lower = np.where(nonneg, h * lower_next, h * upper_next) + g
-    if not (np.all(np.isfinite(new_upper)) and np.all(np.isfinite(new_lower))):
+    if not (np.isfinite(new_upper).all() and np.isfinite(new_lower).all()):
         raise NumericalError("recursion step overflowed to a non-finite bound")
     return new_upper, new_lower
 

@@ -14,12 +14,19 @@ the next, so phase 1 is solved once per row and kept on it; each call then
 runs phase 2 on a copy of that start, in plain Python floats (the tableaux
 are too small for numpy's per-operation overhead to pay off).  All three
 paths are deterministic: identical inputs produce bit-identical output.
+
+A call is on the hot path of every transition, so its fixed cost is kept
+small: ``LpResult`` is a named tuple, each kernel returns a plain
+``(value, maximizer, iterations)`` triple that ``maximize`` or ``minimize``
+wraps once, and the kernel is looked up by row type in one table.  A vertex
+row's maximizer is a read-only view of the chosen row of ``vertices``, not a
+copy; the interval and constraint maximizers are fresh arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,9 +47,11 @@ from .core import (
 PIVOT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class LpResult:
-    """Optimal value, an optimising pmf, and a solver effort counter."""
+class LpResult(NamedTuple):
+    """Optimal value, an optimising pmf, and a solver effort counter.
+
+    For a vertex row the maximizer is a read-only view of one listed vertex.
+    """
 
     value: float
     maximizer: np.ndarray
@@ -56,9 +65,6 @@ class LpCounter:
 
     def __init__(self):
         self.calls = 0
-
-    def bump(self):
-        self.calls += 1
 
     def __repr__(self):
         return f"LpCounter(calls={self.calls})"
@@ -129,16 +135,19 @@ def maximize(row: CredalRow, objective, counter: LpCounter | None = None) -> LpR
     (vertices).
     """
     if counter is not None:
-        counter.bump()
-    return _maximize(row, _objective(objective, row.dim), False)
+        counter.calls += 1
+    obj = _objective(objective, row.dim)
+    value, maximizer, iterations = _kernel(row)(row, obj, False)
+    return LpResult(value, maximizer, iterations)
 
 
 def minimize(row: CredalRow, objective, counter: LpCounter | None = None) -> LpResult:
     """Minimise a linear objective over a credal row (conjugate of maximize)."""
     if counter is not None:
-        counter.bump()
-    res = _maximize(row, _objective(objective, row.dim), True)
-    return LpResult(value=-res.value, maximizer=res.maximizer, iterations=res.iterations)
+        counter.calls += 1
+    obj = _objective(objective, row.dim)
+    value, maximizer, iterations = _kernel(row)(row, obj, True)
+    return LpResult(-value, maximizer, iterations)
 
 
 def feasible(row: CredalRow) -> bool:
@@ -160,42 +169,32 @@ def feasible(row: CredalRow) -> bool:
     raise TypeError(f"unsupported credal row type {type(row).__name__}")
 
 
-def _maximize(row: CredalRow, obj: Objective, minimise: bool) -> LpResult:
-    """Maximise ``obj.target(minimise)`` over the row."""
-    if isinstance(row, IntervalRow):
-        return _maximize_intervals(row, obj, minimise)
-    if isinstance(row, VertexRow):
-        return _maximize_vertices(row, obj.target(minimise))
-    if isinstance(row, ConstraintRow):
-        # The simplex minimises -c; when minimising, -c is the gamble itself.
-        return _simplex_max(row, obj.target(minimise), obj.target(not minimise))
-    raise TypeError(f"unsupported credal row type {type(row).__name__}")
+# Each kernel maximises ``obj.target(minimise)`` over a row and returns the
+# triple ``(value, maximizer, iterations)``.
 
 
-def _maximize_intervals(row: IntervalRow, obj: Objective, minimise: bool) -> LpResult:
+def _maximize_intervals(row: IntervalRow, obj: Objective, minimise: bool) -> tuple:
     # Exact for box-on-simplex rows: give every state its lower bound, then
     # pour the remaining mass into states in decreasing objective order.
     if row.empty:
         raise InfeasibleRowError("interval row is empty")
     p, iterations = row.pour(obj.order(minimise))
-    c = obj.target(minimise)
-    return LpResult(value=float(np.dot(c, p)), maximizer=p, iterations=iterations)
+    return float(obj.target(minimise).dot(p)), p, iterations
 
 
-def _maximize_vertices(row: VertexRow, c: np.ndarray) -> LpResult:
-    values = row.vertices @ c
-    best = int(np.argmax(values))
-    return LpResult(
-        value=float(values[best]),
-        maximizer=np.array(row.vertices[best], copy=True),
-        iterations=0,
-    )
+def _maximize_vertices(row: VertexRow, obj: Objective, minimise: bool) -> tuple:
+    vertices = row.vertices
+    values = vertices @ obj.target(minimise)
+    best = values.argmax()
+    # ``vertices`` is frozen, so the chosen row is handed out as a view.
+    return float(values[best]), vertices[best], 0
 
 
-def _simplex_max(row: ConstraintRow, c: np.ndarray, neg_c: np.ndarray) -> LpResult:
+def _simplex_max(row: ConstraintRow, obj: Objective, minimise: bool) -> tuple:
     """Dense two-phase simplex for: max c @ p  s.t.  a @ p <= b,
-    sum(p) = 1, p >= 0, on the row's scaled inequalities.  ``neg_c`` is
-    ``-c``, the cost vector it minimises.
+    sum(p) = 1, p >= 0, on the row's scaled inequalities, where ``c`` is
+    ``obj.target(minimise)``.  The cost vector it minimises is ``-c``, that
+    is ``obj.target(not minimise)``.
 
     Uses Bland's smallest-index rule for both the entering and the leaving
     variable, which excludes cycling and fixes the pivot sequence, so the
@@ -209,7 +208,7 @@ def _simplex_max(row: ConstraintRow, c: np.ndarray, neg_c: np.ndarray) -> LpResu
     """
     start, basis, iterations = _phase_one(row)
     d = row.dim
-    costs = neg_c.tolist()
+    costs = obj.target(not minimise).tolist()
     tableau = list(start)
     basis = list(basis)
     tableau.append(
@@ -220,7 +219,25 @@ def _simplex_max(row: ConstraintRow, c: np.ndarray, neg_c: np.ndarray) -> LpResu
     for i, k in enumerate(basis):
         if k < d:
             p[k] = tableau[i][-1]
-    return LpResult(value=float(np.dot(c, p)), maximizer=p, iterations=iterations)
+    return float(obj.target(minimise).dot(p)), p, iterations
+
+
+_KERNELS = {
+    IntervalRow: _maximize_intervals,
+    VertexRow: _maximize_vertices,
+    ConstraintRow: _simplex_max,
+}
+
+
+def _kernel(row: CredalRow):
+    """The kernel for the row's type, or for the row kind it subclasses."""
+    kernel = _KERNELS.get(type(row))
+    if kernel is not None:
+        return kernel
+    for cls in type(row).__mro__:
+        if cls in _KERNELS:
+            return _KERNELS[cls]
+    raise TypeError(f"unsupported credal row type {type(row).__name__}")
 
 
 def _phase_one(row: ConstraintRow):

@@ -6,8 +6,9 @@ resulting history array via the extended operators, and brute-force
 enumeration of extreme compatible processes for vertex-style rows, as a
 set-valued recursion over the history tree.  A history array on horizon n
 has shape ``(d,)*n`` and holds the target's value on path (x1, ..., xn) at
-``hist[x1, ..., xn]``.  Materialisation is the one place that checks the
-history size and the finiteness of the values.  The two size limits,
+``hist[x1, ..., xn]``.  Materialisation checks the history size and the
+finiteness of the values it computes; both oracles check the shape and the
+finiteness of the history array they are given.  The two size limits,
 ``HISTORY_CAP`` and ``ASSIGNMENT_CAP``, are fixed constants.  These routes
 exist purely to check the linear-time engine on desk-scale instances;
 nothing here is performance work.
@@ -68,6 +69,9 @@ def materialize_path_function(spec: RecursiveSpec) -> np.ndarray:
 def _check_history(model: ImpreciseMarkovChain, hist: np.ndarray) -> None:
     if hist.ndim < 1 or hist.shape != (model.size,) * hist.ndim:
         raise ValueError("history array does not match the model's state count")
+    # An infinite entry can make a sum NaN, which the envelope would skip.
+    if not np.isfinite(hist).all():
+        raise ValueError("objective contains non-finite entries")
 
 
 def naive_conditional_bounds(

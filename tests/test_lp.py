@@ -536,3 +536,139 @@ class TestSharedObjective:
         assert not shared.values.flags.writeable
         assert c.flags.writeable
         assert maximize(E1_ROW, shared).value == maximize(E1_ROW, c).value
+
+
+class _UnlistedRow:
+    """A row-like object of no supported row kind."""
+
+    dim = 2
+
+
+class _NamedIntervalRow(IntervalRow):
+    """A subclass of a supported row kind."""
+
+
+class TestCallPathContract:
+    """What callers may rely on from one ``maximize``/``minimize`` call."""
+
+    @pytest.mark.parametrize("optimise", [maximize, minimize])
+    def test_unsupported_row_type_raises_type_error(self, optimise):
+        with pytest.raises(
+            TypeError, match="^unsupported credal row type _UnlistedRow$"
+        ):
+            optimise(_UnlistedRow(), [1.0, 2.0])
+
+    @pytest.mark.parametrize("optimise", [maximize, minimize])
+    def test_row_subclass_uses_the_kernel_of_its_kind(self, optimise):
+        row = _NamedIntervalRow(lower=E1_ROW.lower, upper=E1_ROW.upper)
+        c = [0.25, -1.5]
+        got, want = optimise(row, c), optimise(E1_ROW, c)
+        assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+        assert got.maximizer.tobytes() == want.maximizer.tobytes()
+        assert got.iterations == want.iterations
+
+    def test_result_fields_and_immutability(self):
+        assert lp.LpResult._fields == ("value", "maximizer", "iterations")
+        for row in (E1_ROW, VertexRow(vertices=[[0.2, 0.8]]),
+                    interval_to_constraints(E1_ROW.lower, E1_ROW.upper)):
+            for optimise in (maximize, minimize):
+                res = optimise(row, [1.0, -1.0])
+                assert type(res) is lp.LpResult
+                assert isinstance(res.value, float)
+                assert isinstance(res.iterations, int)
+                for name in lp.LpResult._fields:
+                    with pytest.raises(AttributeError):
+                        setattr(res, name, None)
+                with pytest.raises(AttributeError):
+                    res.extra = 1
+
+    def test_vertex_maximizer_is_a_read_only_view_of_a_vertex(self):
+        row = VertexRow(vertices=[[0.2, 0.8], [0.6, 0.4], [0.5, 0.5]])
+        before = row.vertices.copy()
+        for optimise in (maximize, minimize):
+            for c in ([1.0, 0.0], [0.0, 1.0], [3.0, 3.0]):
+                p = optimise(row, c).maximizer
+                assert any(p.tobytes() == v.tobytes() for v in row.vertices)
+                assert np.shares_memory(p, row.vertices)
+                assert not p.flags.writeable
+                with pytest.raises(ValueError):
+                    p[0] = 7.0
+                assert row.vertices.tobytes() == before.tobytes()
+
+    def test_counter_counts_every_call_exactly(self):
+        rows = [E1_ROW, VertexRow(vertices=[[0.2, 0.8], [0.6, 0.4]]),
+                interval_to_constraints(E1_ROW.lower, E1_ROW.upper)]
+        counter = LpCounter()
+        shared = lp.Objective.checked([1.0, -1.0])
+        for k in range(1, 6):
+            for row in rows:
+                maximize(row, shared, counter)
+                minimize(row, [0.5, k], counter)
+                maximize(row, [k, 0.0])  # no counter: not counted
+        assert counter.calls == 5 * len(rows) * 2
+        # A failed call is still one attempted row optimisation.
+        with pytest.raises(TypeError):
+            maximize(_UnlistedRow(), [1.0, 2.0], counter)
+        assert counter.calls == 5 * len(rows) * 2 + 1
+        assert repr(counter) == f"LpCounter(calls={counter.calls})"
+
+
+class TestIllConditionedRows:
+    """Near-degenerate interval rows and badly scaled constraint rows: the
+    maximizers stay in the row, and the results equal the references of
+    ``tests/helpers.py`` bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_interval_rows_with_lower_mass_near_one(self, data):
+        d = data.draw(st.integers(1, 8))
+        weights = data.draw(
+            st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+                     min_size=d, max_size=d).filter(any)
+        )
+        excess = data.draw(st.floats(-1e-9, 1e-9))
+        lower = np.array(weights) / sum(weights) * (1.0 + excess)
+        assert abs(float(lower.sum()) - 1.0) <= 1e-9 + 1e-15
+        gap = data.draw(
+            st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                     min_size=d, max_size=d)
+        )
+        gap[data.draw(st.integers(0, d - 1))] = 0.0  # some zero headroom
+        upper = lower + np.array(gap)
+        c = data.draw(st.lists(st.floats(-5.0, 5.0), min_size=d, max_size=d))
+        _assert_matches_reference_greedy(lower, upper, c)
+        row = IntervalRow(lower=lower, upper=upper)
+        for optimise in (maximize, minimize):
+            try:
+                res = optimise(row, c)
+            except InfeasibleRowError:
+                continue
+            assert row_contains(row, res.maximizer)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_constraint_rows_scaled_by_1e_12_to_1e12(self, data):
+        d = data.draw(st.integers(1, 6))
+        m = data.draw(st.integers(1, 5))
+        weights = data.draw(st.lists(st.floats(0.05, 1.0), min_size=d, max_size=d))
+        inside = np.array(weights) / sum(weights)
+        a = np.array(
+            data.draw(st.lists(st.floats(-3.0, 3.0), min_size=m * d, max_size=m * d))
+        ).reshape(m, d)
+        # A strict margin around a known pmf keeps the row nonempty whatever
+        # the scale of each inequality.
+        margins = data.draw(st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m))
+        b = a @ inside + np.array(margins)
+        exponents = data.draw(st.lists(st.floats(-12.0, 12.0), min_size=m, max_size=m))
+        scales = 10.0 ** np.array(exponents)
+        c = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=d, max_size=d)))
+        scaled_a, scaled_b = a * scales[:, None], b * scales
+        _assert_matches_reference_simplex(scaled_a, scaled_b, c)
+        row = ConstraintRow(a=scaled_a, b=scaled_b)
+        unscaled = ConstraintRow(a=a, b=b)
+        for optimise in (maximize, minimize):
+            res = optimise(row, c)
+            assert row_contains(row, res.maximizer)
+            assert row_contains(unscaled, res.maximizer)
+            # The units of an inequality do not move the bound.
+            assert res.value == pytest.approx(optimise(unscaled, c).value, abs=1e-9)

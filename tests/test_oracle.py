@@ -166,6 +166,23 @@ class TestEnumerate:
         ):
             enumerate_vertex_processes(model, hist)
 
+    @pytest.mark.parametrize(
+        "hist",
+        [
+            [[np.inf, -np.inf], [1.0, 2.0]],  # inf + -inf is a NaN expectation
+            [[1.0, np.nan], [1.0, 2.0]],
+            [[1.0, 2.0], [-np.inf, 0.0]],
+            [np.inf, 0.0],  # horizon 1: no operator sees the array
+        ],
+    )
+    def test_non_finite_history_raises_like_the_contraction(self, hist):
+        hist = np.array(hist)
+        for oracle in (naive_conditional_bounds, enumerate_vertex_processes):
+            with pytest.raises(
+                ValueError, match="^objective contains non-finite entries$"
+            ):
+                oracle(e1_model(), hist)
+
     def test_wide_interval_rows_rejected(self):
         model = random_model(rng, 3, kinds=("intervals",))
         hist = materialize_path_function(random_spec(rng, 3, 2, 2))
