@@ -92,9 +92,18 @@ def _finite_number(value, where: str) -> float:
     return number
 
 
+def _is_number_type(t: type) -> bool:
+    return issubclass(t, (int, float)) and not issubclass(t, bool)
+
+
 def _parse_numbers(values, where: str) -> list[float]:
     if not isinstance(values, list):
         raise DocumentError(f"{where} must be a list of numbers")
+    # Each distinct element type is checked once, and then ``float`` runs
+    # over the list at C speed.  A list that fails the check takes the
+    # element loop, so its error is the one the first bad element gives.
+    if all(map(_is_number_type, set(map(type, values)))):
+        return list(map(float, values))
     out = []
     for v in values:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -131,6 +140,8 @@ def parse_row(doc, where: str, dim: int) -> CredalRow:
             mat = [_parse_numbers(r, f"{where}.A[{i}]") for i, r in enumerate(a)]
             a = np.array(mat).reshape(len(mat), -1) if mat else np.zeros((0, dim))
             return ConstraintRow(a=a, b=np.array(b))
+    except DocumentError:
+        raise  # already names the field it is about
     except (ValueError, OverflowError) as exc:
         raise DocumentError(f"{where}: {exc}") from exc
     raise DocumentError(f"{where}: unknown row representation {key!r}")

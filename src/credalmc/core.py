@@ -95,15 +95,15 @@ class IntervalRow:
     empty row can still be built and reported.
 
     The bounds never change, so the invariants of the greedy pour are
-    computed once here: ``headroom`` is ``upper - lower`` clipped at 0,
-    ``slack`` is ``1 - sum(lower)``, and ``empty`` flags a row whose lower
-    bounds exceed its upper bounds or sum above 1.
+    computed once here: ``supply`` is the frozen ``(d+1,)`` array of the
+    slack ``1 - sum(lower)`` followed by each state's headroom, ``upper -
+    lower`` clipped at 0, and ``empty`` flags a row whose lower bounds
+    exceed its upper bounds or sum above 1.
     """
 
     lower: np.ndarray
     upper: np.ndarray
-    headroom: np.ndarray = field(init=False, repr=False, compare=False)
-    slack: float = field(init=False, repr=False, compare=False)
+    supply: np.ndarray = field(init=False, repr=False, compare=False)
     empty: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -112,8 +112,11 @@ class IntervalRow:
         total = float(lo.sum())
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
-        object.__setattr__(self, "headroom", _freeze(np.maximum(up - lo, 0.0)))
-        object.__setattr__(self, "slack", 1.0 - total)
+        supply = np.empty(lo.size + 1)
+        supply[0] = 1.0 - total
+        np.maximum(up - lo, 0.0, out=supply[1:])
+        supply.flags.writeable = False
+        object.__setattr__(self, "supply", supply)
         object.__setattr__(
             self, "empty", bool((lo > up + EPS_PROB).any()) or total > 1.0 + EPS_PROB
         )
@@ -122,26 +125,30 @@ class IntervalRow:
     def dim(self) -> int:
         return self.lower.size
 
-    def pour(self, order: np.ndarray) -> tuple[np.ndarray, int]:
+    def pour(self, order: np.ndarray, gather: np.ndarray) -> tuple[np.ndarray, int]:
         """Greedy pmf: start at the lower bounds, then pour the slack into the
-        states in ``order``, each up to its upper bound.
+        states in ``order``, each up to its upper bound.  ``gather`` is
+        ``[0, *(order + 1)]``, which picks the slack and then the headroom
+        of each state in ``order`` out of ``supply``.
 
         Returns the pmf and the number of states that took mass; raises
         ``InfeasibleRowError`` when the upper bounds cannot hold the slack.
         The running slack is subtracted in ``order``, one state at a time,
         exactly as a sequential loop would, so the result matches that loop
-        bit for bit.  Only states that take mass are written, which keeps a
-        lower bound of -0.0 as it is.
+        bit for bit.  Once the running slack is spent it is at most 0, and so
+        is every later ``add``, so no clip at 0 is needed.  Only states that
+        take mass are written, which keeps a lower bound of -0.0 as it is.
         """
-        head = self.headroom[order]
-        left = np.subtract.accumulate(np.concatenate(([self.slack], head)))
+        seq = self.supply[gather]
+        left = np.subtract.accumulate(seq)
         if left[-1] > EPS_FEAS:
             raise InfeasibleRowError("interval row has total upper mass below 1")
-        add = np.minimum(head, np.maximum(left[:-1], 0.0))
+        add = np.minimum(seq[1:], left[:-1])
         take = add > 0.0
+        states = order[take]
         p = self.lower.copy()
-        p[order[take]] += add[take]
-        return p, int(np.count_nonzero(take))
+        p[states] += add[take]
+        return p, states.size
 
 
 @dataclass(frozen=True)
@@ -260,7 +267,7 @@ def is_pmf(p) -> bool:
 def interval_witness(row: IntervalRow) -> np.ndarray:
     """Greedy feasible pmf of an interval row: start at the lower bounds and
     fill the remaining mass in state order, capped by the upper bounds."""
-    return row.pour(np.arange(row.dim))[0]
+    return row.pour(np.arange(row.dim), np.arange(row.dim + 1))[0]
 
 
 def row_contains(row: CredalRow, p) -> bool:

@@ -111,9 +111,11 @@ def conditional_bounds(
         )
     upper = spec.g0.copy()
     lower = spec.g0.copy()
+    # ``spec.g0`` passed ``as_vector`` and ``recursion_step`` checks its
+    # output, so every track vector is finite and wrapped without a check.
     for h, g in spec.steps:
-        upper_next = upper_transition(model, upper, counter)
-        lower_next = lower_transition(model, lower, counter)
+        upper_next = upper_transition(model, Objective(upper), counter)
+        lower_next = lower_transition(model, Objective(lower), counter)
         upper, lower = recursion_step(h, g, upper_next, lower_next)
     return upper, lower
 
@@ -127,7 +129,9 @@ def unconditional_bounds(
     """Optimise conditional bound vectors over the initial credal set.
 
     The upper bound pairs with the upper conditional vector and the lower
-    bound with the lower one; mixing them has no meaning here.
+    bound with the lower one; mixing them has no meaning here.  Each vector
+    is checked, unless it is an ``Objective``, which only has its length
+    checked.
     """
     upper_cond = Objective.checked(
         upper_cond, size=model.size, name="upper conditional"

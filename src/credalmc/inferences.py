@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import ImpreciseMarkovChain, StateSpace, as_vector
 from .engine import BoundsResult, RecursiveSpec, recursion_step, unconditional_bounds
-from .lp import LpCounter
+from .lp import LpCounter, Objective
 from .operators import lower_transition, upper_transition
 
 
@@ -139,19 +139,24 @@ def limit_infer(
     (h, g), = spec.steps
 
     counter = LpCounter()
+    # Each track vector is wrapped once and shared by the initial-set step
+    # and the next transition.  ``spec.g0`` passed ``as_vector`` and
+    # ``recursion_step`` checks its output, so no wrap needs a check.
     upper_cond = spec.g0.copy()
     lower_cond = spec.g0.copy()
-    upper, lower = unconditional_bounds(model, upper_cond, lower_cond, counter)
+    upper_track, lower_track = Objective(upper_cond), Objective(lower_cond)
+    upper, lower = unconditional_bounds(model, upper_track, lower_track, counter)
     upper_trace = [upper]
     lower_trace = [lower]
     converged = False
     horizon = 1
     while horizon < max_horizon:
         horizon += 1
-        upper_next = upper_transition(model, upper_cond, counter)
-        lower_next = lower_transition(model, lower_cond, counter)
+        upper_next = upper_transition(model, upper_track, counter)
+        lower_next = lower_transition(model, lower_track, counter)
         upper_cond, lower_cond = recursion_step(h, g, upper_next, lower_next)
-        upper, lower = unconditional_bounds(model, upper_cond, lower_cond, counter)
+        upper_track, lower_track = Objective(upper_cond), Objective(lower_cond)
+        upper, lower = unconditional_bounds(model, upper_track, lower_track, counter)
         upper_trace.append(upper)
         lower_trace.append(lower)
         if (

@@ -6,14 +6,17 @@ share their objective, so the operators wrap the gamble once in an
 ``Objective``: it is checked once, and its negation and its stable sort
 orders are computed on first use and kept for the other rows.  Interval
 rows use the exact sorting solution: the objective's stable order, then a
-vectorised greedy pour of the remaining mass (``IntervalRow.pour``) over the
-row's precomputed headroom.  Vertex rows use direct enumeration, and
-constraint rows run a dense two-phase simplex restricted to the probability
-simplex.  Only the objective changes from one call on a constraint row to
-the next, so phase 1 is solved once per row and kept on it; each call then
-runs phase 2 on a copy of that start, in plain Python floats (the tableaux
-are too small for numpy's per-operation overhead to pay off).  All three
-paths are deterministic: identical inputs produce bit-identical output.
+vectorised greedy pour of the remaining mass (``IntervalRow.pour``): gather
+the row's slack and headroom in that order, subtract the running slack with
+one ``np.subtract.accumulate``, cap each state's share at its headroom, and
+scatter the positive shares onto the lower bounds.  Vertex rows use direct
+enumeration, and constraint rows run a dense two-phase simplex restricted to
+the probability simplex.  Only the objective changes from one call on a
+constraint row to the next, so phase 1 is solved once per row and kept on
+it; each call then runs phase 2 on a copy of that start, in plain Python
+floats (the tableaux are too small for numpy's per-operation overhead to pay
+off).  All three paths are deterministic: identical inputs produce
+bit-identical output.
 
 A call is on the hot path of every transition, so its fixed cost is kept
 small: ``LpResult`` is a named tuple, each kernel returns a plain
@@ -75,9 +78,9 @@ class Objective:
 
     ``values`` is a read-only view of a finite 1-D float array; build one
     with ``Objective.checked``, or directly from an array that has already
-    passed ``as_vector``.  The negation and the two stable sort orders are
-    computed on first use and kept, so every row after the first reuses
-    them.
+    passed ``as_vector``.  The negation and, for each direction, the stable
+    sort order and the interval pour's gather index are computed on first
+    use and kept, so every row after the first reuses them.
     """
 
     __slots__ = ("values", "_negated", "_orders")
@@ -90,6 +93,15 @@ class Objective:
 
     @classmethod
     def checked(cls, values, size: int | None = None, name: str = "objective"):
+        """An ``Objective`` over ``values``.  A vector is checked by
+        ``as_vector``; an ``Objective`` has been checked already, so only its
+        length is, and it is returned as it is."""
+        if isinstance(values, Objective):
+            if size is not None and values.values.size != size:
+                raise ValueError(
+                    f"{name} has length {values.values.size}, expected {size}"
+                )
+            return values
         return cls(as_vector(values, size=size, name=name))
 
     @property
@@ -103,25 +115,18 @@ class Objective:
         minimising."""
         return self.negated if minimise else self.values
 
-    def order(self, minimise: bool) -> np.ndarray:
-        """States by decreasing ``target(minimise)``, ties by ascending
-        index: the stable argsort of ``-target``.  When minimising that is
-        ``-(-values)``, which is ``values`` bit for bit."""
-        order = self._orders[minimise]
-        if order is None:
+    def order(self, minimise: bool) -> tuple[np.ndarray, np.ndarray]:
+        """``(order, gather)``: the states by decreasing ``target(minimise)``,
+        ties by ascending index, and ``[0, *(order + 1)]``, the index that
+        ``IntervalRow.pour`` reads its supply with.
+
+        The order is the stable argsort of ``-target``.  When minimising
+        that is ``-(-values)``, which is ``values`` bit for bit."""
+        pair = self._orders[minimise]
+        if pair is None:
             order = np.argsort(self.target(not minimise), kind="stable")
-            self._orders[minimise] = order
-        return order
-
-
-def _objective(objective, dim: int) -> Objective:
-    if isinstance(objective, Objective):
-        if objective.values.size != dim:
-            raise ValueError(
-                f"objective has length {objective.values.size}, expected {dim}"
-            )
-        return objective
-    return Objective.checked(objective, size=dim)
+            pair = self._orders[minimise] = (order, np.concatenate(([0], order + 1)))
+        return pair
 
 
 def maximize(row: CredalRow, objective, counter: LpCounter | None = None) -> LpResult:
@@ -136,7 +141,7 @@ def maximize(row: CredalRow, objective, counter: LpCounter | None = None) -> LpR
     """
     if counter is not None:
         counter.calls += 1
-    obj = _objective(objective, row.dim)
+    obj = Objective.checked(objective, row.dim)
     value, maximizer, iterations = _kernel(row)(row, obj, False)
     return LpResult(value, maximizer, iterations)
 
@@ -145,7 +150,7 @@ def minimize(row: CredalRow, objective, counter: LpCounter | None = None) -> LpR
     """Minimise a linear objective over a credal row (conjugate of maximize)."""
     if counter is not None:
         counter.calls += 1
-    obj = _objective(objective, row.dim)
+    obj = Objective.checked(objective, row.dim)
     value, maximizer, iterations = _kernel(row)(row, obj, True)
     return LpResult(-value, maximizer, iterations)
 
@@ -178,13 +183,15 @@ def _maximize_intervals(row: IntervalRow, obj: Objective, minimise: bool) -> tup
     # pour the remaining mass into states in decreasing objective order.
     if row.empty:
         raise InfeasibleRowError("interval row is empty")
-    p, iterations = row.pour(obj.order(minimise))
+    p, iterations = row.pour(*obj.order(minimise))
     return float(obj.target(minimise).dot(p)), p, iterations
 
 
 def _maximize_vertices(row: VertexRow, obj: Objective, minimise: bool) -> tuple:
     vertices = row.vertices
-    values = vertices @ obj.target(minimise)
+    # ``ndarray.dot`` has less call overhead than ``@`` and gives the same
+    # bits for a 2-D by 1-D product.
+    values = vertices.dot(obj.target(minimise))
     best = values.argmax()
     # ``vertices`` is frozen, so the chosen row is handed out as a view.
     return float(values[best]), vertices[best], 0

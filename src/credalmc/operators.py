@@ -39,7 +39,8 @@ def upper_transition(
 
     Entry x is the maximum of the expectation of f over the credal row of
     state x, i.e. the tight upper bound on the one-step conditional
-    expectation of f given the current state.
+    expectation of f given the current state.  ``f`` is a vector, which is
+    checked, or an ``Objective``, which only has its length checked.
     """
     f = Objective.checked(f, size=model.size, name="gamble")
     return _optimise_blocks(model, [f] * model.size, maximize, counter)
@@ -48,7 +49,8 @@ def upper_transition(
 def lower_transition(
     model: ImpreciseMarkovChain, f, counter: LpCounter | None = None
 ) -> np.ndarray:
-    """Conjugate of ``upper_transition``: entry x minimises over the row of x."""
+    """Conjugate of ``upper_transition``: entry x minimises over the row of x.
+    ``f`` is a vector or an ``Objective``, as there."""
     f = Objective.checked(f, size=model.size, name="gamble")
     return _optimise_blocks(model, [f] * model.size, minimize, counter)
 

@@ -92,6 +92,29 @@ class TestValidateCommand:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize("row, message", [
+        ({"intervals": {"lower": [True, 0.1], "upper": [1, 1]}},
+         "rows['a'].lower must contain only numbers"),
+        ({"intervals": {"lower": [1]}},
+         "rows['a'] document is missing the 'upper' field"),
+        ({"vertices": []}, "rows['a'].vertices must be a nonempty list"),
+        ({"constraints": {"A": [[1, "x"]], "b": [1]}},
+         "rows['a'].A[0] must contain only numbers"),
+        # The first bad element decides the error, as in an element loop.
+        ({"intervals": {"lower": [10**400, "x"], "upper": [1]}},
+         "rows['a']: int too large to convert to float"),
+        ({"intervals": {"lower": ["x", 10**400], "upper": [1]}},
+         "rows['a'].lower must contain only numbers"),
+        ({"intervals": {"lower": [float("nan")], "upper": [1]}},
+         "rows['a']: lower bounds contains non-finite entries"),
+    ], ids=["bool", "missing-field", "no-vertices", "string-in-A",
+            "too-large-first", "string-first", "nan"])
+    def test_row_error_names_the_row_once(self, tmp_path, capsys, row, message):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"states": ["a"], "rows": {"a": row},
+                                     "initial": {"vertices": [[1]]}}))
+        assert run(capsys, "validate", str(model)) == (2, "", f"error: {message}\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "/nonexistent/model.json")
         assert code == 2
@@ -409,6 +432,36 @@ class TestDocuments:
             assert code == 0
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+    def test_serialised_numbers_parse_back_as_floats(self):
+        # model_to_document lists numpy floats; they parse as Python floats.
+        def number_lists(node):
+            if isinstance(node, dict):
+                for value in node.values():
+                    yield from number_lists(value)
+            elif node and isinstance(node[0], list):
+                for value in node:
+                    yield from number_lists(value)
+            else:
+                yield node
+
+        with open(MODEL_MIXED) as fh:
+            doc = model_to_document(parse_model(json.load(fh)))
+        lists = list(number_lists({"rows": doc["rows"], "initial": doc["initial"]}))
+        assert {type(v) for values in lists for v in values} == {np.float64}
+        for values in lists:
+            parsed = cli._parse_numbers(values, "x")
+            assert [type(v) for v in parsed] == [float] * len(values)
+            assert parsed == [float(v) for v in values]
+        mixed = [1, 2.5, np.float64(0.25), 10**20]
+        assert cli._parse_numbers(mixed, "x") == [1.0, 2.5, 0.25, 1e20]
+
+    @pytest.mark.parametrize("values", [
+        [1.0, True], [np.bool_(True)], [np.int64(1)], [None], [[1.0]],
+    ])
+    def test_parse_numbers_rejects_non_numbers(self, values):
+        with pytest.raises(cli.DocumentError, match="^x must contain only numbers$"):
+            cli._parse_numbers(values, "x")
 
     def test_numbers_serialised_at_seventeen_digits(self):
         text = dumps_document({"x": 0.65, "third": 1.0 / 3.0})

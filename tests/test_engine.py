@@ -20,6 +20,7 @@ from credalmc import (
     unconditional_bounds,
     validate_model,
 )
+from credalmc import lp
 from helpers import (
     E1_SPACE,
     e1_model,
@@ -199,6 +200,20 @@ class TestUnconditionalBounds:
         upper, lower = unconditional_bounds(e1_model(), [2.5, 2.5], [2.5, 2.5])
         assert upper == pytest.approx(2.5, abs=1e-12)
         assert lower == pytest.approx(2.5, abs=1e-12)
+
+    def test_objectives_are_only_length_checked(self):
+        upper = lp.Objective.checked([0.3, 1.0])
+        lower = lp.Objective.checked([0.1, 1.0])
+        assert unconditional_bounds(e1_model(), upper, lower) == (
+            unconditional_bounds(e1_model(), [0.3, 1.0], [0.1, 1.0])
+        )
+        for name, args in (("upper", ([1.0, 2.0, 3.0], [0.1, 1.0])),
+                           ("lower", ([0.3, 1.0], [1.0, 2.0, 3.0]))):
+            for wrap in (list, lp.Objective.checked):
+                with pytest.raises(
+                    ValueError, match=f"^{name} conditional has length 3, expected 2$"
+                ):
+                    unconditional_bounds(e1_model(), *map(wrap, args))
 
 
 class TestInfer:

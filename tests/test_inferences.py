@@ -20,6 +20,8 @@ from credalmc import (
     spec_sum,
     spec_time_average,
 )
+from credalmc import lp
+from credalmc.inferences import HITTING_FAMILIES
 from helpers import E1_SPACE, e1_model, random_gamble, random_model
 
 rng = np.random.default_rng(5005)
@@ -294,6 +296,21 @@ class TestLimitInfer:
         )
         n = result.horizon_reached
         assert result.lp_calls == 2 * 2 * (n - 1) + 2 * n
+
+    @pytest.mark.parametrize("family", ["hitting_probability", "hitting_time"])
+    def test_track_vectors_are_not_checked_again(self, monkeypatch, family):
+        # Each track vector is wrapped once and shared by the initial-set
+        # step and the next transition; no row or operator checks it again.
+        model = random_model(np.random.default_rng(8), 4)
+        checks = []
+        as_vector = lp.as_vector
+        monkeypatch.setattr(
+            lp, "as_vector", lambda *a, **k: checks.append(1) or as_vector(*a, **k)
+        )
+        result = limit_infer(model, family, ["s0"], tol=1e-12, max_horizon=12)
+        assert result.horizon_reached > 2
+        conditional_bounds(model, HITTING_FAMILIES[family](model.states, ["s0"], 12))
+        assert checks == []
 
     def test_empty_target_hitting_time_warns(self):
         # The builder's warning: with no target the hitting time never settles.

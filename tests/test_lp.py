@@ -23,6 +23,7 @@ from credalmc import (
     validate_model,
 )
 from credalmc import lp
+from credalmc.core import EPS_FEAS
 from helpers import (
     interval_to_constraints,
     random_constraint_row,
@@ -342,6 +343,47 @@ class TestIntervalKernelMatchesReferenceGreedy:
         upper = [lo + g for lo, g in zip(lower, gap)]
         _assert_matches_reference_greedy(lower, upper, c)
 
+    @staticmethod
+    def _seeded_row(gen, d, k):
+        """Row k of a seeded family: some -0.0 lower bounds, some zero and
+        slightly negative gaps, and, cycling with k, positive gaps that give
+        ample mass, exactly the mass needed, or mass short of 1 by half of
+        ``EPS_FEAS`` or by twice it."""
+        lower = gen.dirichlet(np.ones(d)) * gen.uniform(0.0, 0.9)
+        lower[gen.random(d) < 0.2] = -0.0
+        kind = gen.integers(0, 4, d)
+        kind[gen.integers(d)] = 0  # at least one positive gap
+        gap = gen.uniform(0.0, 1.0, d)
+        gap[kind == 2] = 0.0
+        gap[kind == 3] = -gen.uniform(0.0, 1e-9, int((kind == 3).sum()))
+        positive = kind < 2
+        need = 1.0 - float(lower.sum())
+        need = (need * gen.uniform(1.0, 3.0), need,
+                need - 0.5 * EPS_FEAS, need - 2.0 * EPS_FEAS)[k % 4]
+        gap[positive] *= need / gap[positive].sum()
+        return IntervalRow(lower=lower, upper=lower + gap)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10, 64, 200, 500])
+    def test_seeded_rows_at_scale_share_one_objective(self, d):
+        # One objective over many rows in both directions, as a transition
+        # uses it, so its kept order and gather index serve every row.
+        gen = np.random.default_rng(4000 + d)
+        c = gen.uniform(-5.0, 5.0, d)
+        ties = gen.random(d) < 0.3
+        c[ties] = gen.integers(-1, 2, int(ties.sum()))
+        shared = lp.Objective.checked(c)
+        for k in range(40):
+            row = self._seeded_row(gen, d, k)
+            for optimise, sign in ((maximize, 1.0), (minimize, -1.0)):
+
+                def kernel():
+                    res = optimise(row, shared)
+                    return sign * res.value, res.maximizer, res.iterations
+
+                assert _outcome(kernel) == _outcome(
+                    lambda: reference_interval_maximize(row, sign * c)
+                )
+
 
 def _reference_feasible(a, b):
     try:
@@ -536,6 +578,31 @@ class TestSharedObjective:
         assert not shared.values.flags.writeable
         assert c.flags.writeable
         assert maximize(E1_ROW, shared).value == maximize(E1_ROW, c).value
+
+
+class TestVertexKernel:
+    """``vertices.dot(c)`` gives the bits of ``vertices @ c``, so the vertex
+    kernel's value and listed vertex are those of the matmul and its
+    lowest-index argmax."""
+
+    def test_matches_matmul_and_argmax(self):
+        gen = np.random.default_rng(6006)
+        for _ in range(3000):
+            k = int(gen.integers(1, 13))
+            d = int(gen.integers(1, 61))
+            vertices = gen.dirichlet(np.ones(d), k)
+            # Repeated vertices tie on every objective.
+            vertices[gen.random(k) < 0.25] = vertices[0]
+            c = gen.uniform(-1.0, 1.0, d) * 10.0 ** gen.uniform(-5.0, 5.0)
+            row = VertexRow(vertices=vertices)
+            shared = lp.Objective.checked(c)
+            for optimise, target in ((maximize, c), (minimize, -c)):
+                values = row.vertices @ target
+                best = int(values.argmax())
+                res = optimise(row, shared)
+                value = res.value if optimise is maximize else -res.value
+                assert np.float64(value).tobytes() == values[best].tobytes()
+                assert np.shares_memory(res.maximizer, row.vertices[best])
 
 
 class _UnlistedRow:

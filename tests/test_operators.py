@@ -17,6 +17,7 @@ from credalmc import (
     minimize,
     upper_transition,
 )
+from credalmc import lp
 from credalmc.cli import parse_model
 from helpers import (
     E1_ROW_S0,
@@ -252,6 +253,24 @@ class TestNonFiniteObjectives:
     def test_rejected(self, call, value):
         with pytest.raises(ValueError, match="non-finite"):
             self.CALLS[call](value)
+
+
+class TestObjectiveGambles:
+    """A transition takes an ``Objective`` as ``maximize`` does: it is only
+    checked for its length, and gives the bits a plain vector gives."""
+
+    @pytest.mark.parametrize("transition", [upper_transition, lower_transition])
+    def test_matches_plain_vector(self, transition):
+        model = random_model(np.random.default_rng(9), 6)
+        f = random_gamble(rng, 6)
+        shared = lp.Objective.checked(f)
+        assert np.array_equal(transition(model, shared), transition(model, f))
+
+    @pytest.mark.parametrize("transition", [upper_transition, lower_transition])
+    @pytest.mark.parametrize("wrap", [list, lp.Objective.checked])
+    def test_wrong_length_names_the_gamble(self, transition, wrap):
+        with pytest.raises(ValueError, match="^gamble has length 3, expected 2$"):
+            transition(e1_model(), wrap([1.0, 2.0, 3.0]))
 
 
 class TestSortOnce:
