@@ -89,9 +89,26 @@ def recursion_step(h, g, upper_next, lower_next):
     with np.errstate(over="ignore", invalid="ignore"):
         new_upper = np.where(nonneg, h * upper_next, h * lower_next) + g
         new_lower = np.where(nonneg, h * lower_next, h * upper_next) + g
-    if not (np.isfinite(new_upper).all() and np.isfinite(new_lower).all()):
+    # One ufunc over both tracks: ``ndarray.all`` adds a Python layer per call.
+    if not np.logical_and.reduce(np.isfinite((new_upper, new_lower)), axis=None):
         raise NumericalError("recursion step overflowed to a non-finite bound")
     return new_upper, new_lower
+
+
+def tracks(model, g0, steps, counter):
+    """Yield the (upper, lower) tracks at every horizon: ``g0`` for both, then
+    the pair after each (h, g) of ``steps``.  The only code that applies the
+    transition operators and ``recursion_step``.  Each track is wrapped once,
+    as an ``Objective`` for the next transition and the caller, and without a
+    check: ``g0`` must have passed ``as_vector``, and ``recursion_step``
+    checks its output."""
+    upper = lower = Objective(g0)
+    yield upper, lower
+    for h, g in steps:
+        upper_next = upper_transition(model, upper, counter)
+        lower_next = lower_transition(model, lower, counter)
+        upper, lower = map(Objective, recursion_step(h, g, upper_next, lower_next))
+        yield upper, lower
 
 
 def conditional_bounds(
@@ -109,15 +126,9 @@ def conditional_bounds(
         raise ValueError(
             f"spec dimension {spec.dim} does not match state count {model.size}"
         )
-    upper = spec.g0.copy()
-    lower = spec.g0.copy()
-    # ``spec.g0`` passed ``as_vector`` and ``recursion_step`` checks its
-    # output, so every track vector is finite and wrapped without a check.
-    for h, g in spec.steps:
-        upper_next = upper_transition(model, Objective(upper), counter)
-        lower_next = lower_transition(model, Objective(lower), counter)
-        upper, lower = recursion_step(h, g, upper_next, lower_next)
-    return upper, lower
+    for upper, lower in tracks(model, spec.g0, spec.steps, counter):
+        pass
+    return upper.values.copy(), lower.values.copy()
 
 
 def unconditional_bounds(

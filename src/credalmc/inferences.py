@@ -1,6 +1,5 @@
 """Builders that express standard inference families as recursive targets,
-plus the growing-horizon approximation loop for unbounded-horizon hitting
-inferences.
+and the unbounded-horizon hitting inference built on them.
 
 Builders cover functions of a single time instant, sums, time averages,
 products, hitting probabilities and hitting times.  The hitting time follows
@@ -8,8 +7,8 @@ the recursion-consistent convention: it counts the steps strictly before the
 first entry into the target set, is 0 when the chain starts inside the set,
 and is capped at the horizon when the set is not reached within it.  The two
 hitting families use the same step weights at every instant, so
-``HITTING_FAMILIES`` maps each to its builder and ``limit_infer`` runs the
-builder's one step repeatedly.
+``HITTING_FAMILIES`` maps each to its builder and ``limit_infer`` hands the
+builder's one step, repeated, to ``engine.tracks``.
 """
 
 from __future__ import annotations
@@ -17,13 +16,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .core import ImpreciseMarkovChain, StateSpace, as_vector
-from .engine import BoundsResult, RecursiveSpec, recursion_step, unconditional_bounds
-from .lp import LpCounter, Objective
-from .operators import lower_transition, upper_transition
+from .engine import BoundsResult, RecursiveSpec, tracks, unconditional_bounds
+from .lp import LpCounter
+
+# Unused here; ``bench/tracing.py`` still patches these three names.
+from .engine import lower_transition, recursion_step, upper_transition  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -120,12 +122,12 @@ def limit_infer(
 ) -> LimitResult:
     """Approximate an unbounded-horizon hitting inference by growing the horizon.
 
-    Runs the recursion incrementally, one extra time instant per horizon
-    (two operator applications plus two initial-set optimisations each), and
-    stops once both unconditional bounds move by less than ``tol`` between
-    consecutive horizons.  The per-horizon conditional vectors coincide
-    bit-for-bit with a fresh fixed-horizon computation, since the hitting
-    families use the same step weights at every instant.
+    Runs the family's one step through ``engine.tracks`` for up to
+    ``max_horizon`` (an integer >= 2) horizons, each costing two operator
+    applications and two initial-set optimisations, and stops once both
+    unconditional bounds move by less than ``tol`` between consecutive
+    horizons.  The per-horizon conditional vectors coincide bit-for-bit with
+    a fresh fixed-horizon computation: the steps are the same at every instant.
     """
     if family not in HITTING_FAMILIES:
         raise ValueError(
@@ -133,44 +135,30 @@ def limit_infer(
         )
     if not 0.0 < tol < math.inf:
         raise ValueError("tolerance must be a finite positive number")
-    if max_horizon < 2:
-        raise ValueError("max_horizon must be at least 2")
+    integer = isinstance(max_horizon, Integral) and not isinstance(max_horizon, bool)
+    if not integer or max_horizon < 2:
+        raise ValueError("max_horizon must be an integer >= 2")
     spec = HITTING_FAMILIES[family](model.states, targets, 2)
-    (h, g), = spec.steps
+    # ``range``, unlike ``itertools.repeat``, takes a count beyond sys.maxsize.
+    steps = (spec.steps[0] for _ in range(max_horizon - 1))
 
     counter = LpCounter()
-    # Each track vector is wrapped once and shared by the initial-set step
-    # and the next transition.  ``spec.g0`` passed ``as_vector`` and
-    # ``recursion_step`` checks its output, so no wrap needs a check.
-    upper_cond = spec.g0.copy()
-    lower_cond = spec.g0.copy()
-    upper_track, lower_track = Objective(upper_cond), Objective(lower_cond)
-    upper, lower = unconditional_bounds(model, upper_track, lower_track, counter)
-    upper_trace = [upper]
-    lower_trace = [lower]
-    converged = False
-    horizon = 1
-    while horizon < max_horizon:
-        horizon += 1
-        upper_next = upper_transition(model, upper_track, counter)
-        lower_next = lower_transition(model, lower_track, counter)
-        upper_cond, lower_cond = recursion_step(h, g, upper_next, lower_next)
-        upper_track, lower_track = Objective(upper_cond), Objective(lower_cond)
+    upper_trace, lower_trace = [], []
+    for upper_track, lower_track in tracks(model, spec.g0, steps, counter):
         upper, lower = unconditional_bounds(model, upper_track, lower_track, counter)
         upper_trace.append(upper)
         lower_trace.append(lower)
-        if (
-            abs(upper_trace[-1] - upper_trace[-2]) < tol
-            and abs(lower_trace[-1] - lower_trace[-2]) < tol
-        ):
-            converged = True
+        converged = len(upper_trace) > 1 and (
+            abs(upper - upper_trace[-2]) < tol and abs(lower - lower_trace[-2]) < tol
+        )
+        if converged:
             break
     return LimitResult(
-        upper=upper_trace[-1],
-        lower=lower_trace[-1],
-        upper_conditional=upper_cond,
-        lower_conditional=lower_cond,
-        horizon_reached=horizon,
+        upper=upper,
+        lower=lower,
+        upper_conditional=upper_track.values.copy(),
+        lower_conditional=lower_track.values.copy(),
+        horizon_reached=len(upper_trace),
         converged=converged,
         upper_trace=tuple(upper_trace),
         lower_trace=tuple(lower_trace),

@@ -123,13 +123,14 @@ def test_criterion_3_lp_call_counts_and_linear_time():
     )
     f = rng.uniform(-1, 1, size=5)
     horizons = (10, 100, 1000)
-    times = []
-    for n in horizons:
-        spec = spec_single_instant(f, n)
-        best = min(
-            _timed(lambda: conditional_bounds(model, spec)) for _ in range(5)
-        )
-        times.append(best)
+    specs = [spec_single_instant(f, n) for n in horizons]
+    # Round-robin: each repetition times every horizon in turn, so that each
+    # best-of-5 sees the same phases of a machine whose speed drifts.
+    rounds = [
+        [_timed(lambda: conditional_bounds(model, spec)) for spec in specs]
+        for _ in range(5)
+    ]
+    times = [min(column) for column in zip(*rounds)]
     # Fit weighted by 1/t so the fit targets relative rather than absolute
     # residuals, matching the acceptance quantity.
     slope, intercept = np.polyfit(horizons, times, 1, w=1.0 / np.array(times))

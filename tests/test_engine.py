@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from credalmc import (
     validate_model,
 )
 from credalmc import lp
+from credalmc.engine import recursion_step
 from helpers import (
     E1_SPACE,
     e1_model,
@@ -54,6 +57,10 @@ class TestConditionalBounds:
         upper, lower = conditional_bounds(e1_model(), RecursiveSpec(g0=g0))
         assert np.array_equal(upper, g0)
         assert np.array_equal(lower, g0)
+        # Two new writable arrays, neither shared with the other nor with g0.
+        assert upper.flags.writeable and lower.flags.writeable
+        assert not np.shares_memory(upper, lower)
+        assert not np.shares_memory(upper, g0) and not np.shares_memory(lower, g0)
 
     def test_hitting_probability_two_steps(self):
         upper, lower = conditional_bounds(e1_model(), hitting_spec_n2())
@@ -183,6 +190,21 @@ class TestConditionalBounds:
             pu, pl = conditional_bounds(model, padded)
             assert np.array_equal(pu, iterate_upper(model, upper, pad))
             assert np.array_equal(pl, iterate_lower(model, lower, pad))
+
+
+class TestRecursionStep:
+    @pytest.mark.parametrize(
+        "upper_next, lower_next",
+        [([1e300, 1.0], [0.5, 1.0]), ([0.5, 1.0], [1e300, 1.0])],
+        ids=["upper-track", "lower-track"],
+    )
+    def test_one_overflowing_track_raises_without_warning(self, upper_next, lower_next):
+        h = np.array([1e300, 1.0])
+        g = np.zeros(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="non-finite"):
+                recursion_step(h, g, np.array(upper_next), np.array(lower_next))
 
 
 class TestUnconditionalBounds:

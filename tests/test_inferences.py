@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -280,15 +282,19 @@ class TestLimitInfer:
         )
 
     def test_incremental_matches_fresh_recursion_bitwise(self):
+        # Bit for bit, the sign of zero included, at every horizon and for
+        # both families.
         model = e1_model()
-        result = limit_infer(
-            model, "hitting_probability", ["s1"], tol=1e-12, max_horizon=7
-        )
-        n = result.horizon_reached
-        spec = spec_hitting_probability(E1_SPACE, ["s1"], n)
-        upper, lower = conditional_bounds(model, spec)
-        assert np.array_equal(result.upper_conditional, upper)
-        assert np.array_equal(result.lower_conditional, lower)
+        for family, build in HITTING_FAMILIES.items():
+            for max_horizon in range(2, 8):
+                result = limit_infer(
+                    model, family, ["s1"], tol=1e-12, max_horizon=max_horizon
+                )
+                n = result.horizon_reached
+                assert n == max_horizon
+                upper, lower = conditional_bounds(model, build(E1_SPACE, ["s1"], n))
+                assert result.upper_conditional.tobytes() == upper.tobytes()
+                assert result.lower_conditional.tobytes() == lower.tobytes()
 
     def test_lp_call_accounting(self):
         result = limit_infer(
@@ -340,3 +346,19 @@ class TestLimitInfer:
                 limit_infer(model, "hitting_probability", ["s1"], tol=tol)
         with pytest.raises(ValueError):
             limit_infer(model, "hitting_probability", ["s1"], max_horizon=1)
+
+    @pytest.mark.parametrize("max_horizon", [2.5, 3.0, True, math.inf])
+    def test_max_horizon_must_be_an_integer(self, max_horizon):
+        with pytest.raises(ValueError, match="max_horizon"):
+            limit_infer(
+                e1_model(), "hitting_probability", ["s1"], max_horizon=max_horizon
+            )
+
+    @pytest.mark.parametrize(
+        "max_horizon, reached", [(np.int64(9), 9), (10**30, 110)], ids=["numpy", "huge"]
+    )
+    def test_max_horizon_takes_any_integer_type_and_size(self, max_horizon, reached):
+        result = limit_infer(
+            e1_model(), "hitting_probability", ["s1"], tol=1e-6, max_horizon=max_horizon
+        )
+        assert result.horizon_reached == reached

@@ -1,0 +1,29 @@
+"""The README's library quickstart runs and prints what it says it prints."""
+
+import re
+from pathlib import Path
+
+import numpy as np
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_quickstart_values():
+    section = README.read_text(encoding="utf-8").split("## Library quickstart", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    namespace = {}
+    exec(compile(block, str(README), "exec"), namespace)
+    # Each line `expression  # -> expected` claims the expression's value.
+    claims = re.findall(r"^(\S.*?)\s+# -> (.+)$", block, re.MULTILINE)
+    assert [expected for _, expected in claims] == [
+        "[0.3, 0.6]", "0.65, 0.28", "6", "True, 175"
+    ]
+    for expression, expected in claims:
+        actual = eval(expression, namespace)
+        np.testing.assert_allclose(
+            np.asarray(actual, dtype=float),
+            np.asarray(eval(expected), dtype=float),
+            rtol=0,
+            atol=1e-12,
+            err_msg=expression,
+        )
