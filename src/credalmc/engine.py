@@ -160,7 +160,11 @@ def infer(model: ImpreciseMarkovChain, spec: RecursiveSpec) -> BoundsResult:
     initial credal set, with the total LP-call count recorded."""
     counter = LpCounter()
     upper_cond, lower_cond = conditional_bounds(model, spec, counter)
-    upper, lower = unconditional_bounds(model, upper_cond, lower_cond, counter)
+    # Both vectors are fresh and already checked, so they are wrapped without
+    # a second check; the wrappers leave the arrays themselves writable.
+    upper, lower = unconditional_bounds(
+        model, Objective(upper_cond), Objective(lower_cond), counter
+    )
     return BoundsResult(
         upper_conditional=upper_cond,
         lower_conditional=lower_cond,

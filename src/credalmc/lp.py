@@ -15,8 +15,13 @@ the probability simplex.  Only the objective changes from one call on a
 constraint row to the next, so phase 1 is solved once per row and kept on
 it; each call then runs phase 2 on a copy of that start, in plain Python
 floats (the tableaux are too small for numpy's per-operation overhead to pay
-off).  All three paths are deterministic: identical inputs produce
-bit-identical output.
+off).  The simplex enters the column with the most negative reduced cost
+(Dantzig's rule) and falls back to Bland's smallest-index rule right after
+a degenerate pivot, which excludes cycling with fewer pivots than Bland's
+rule alone.  The pivot path fixes the last bits of a result: Bland's rule
+alone reaches the same optimum with values that differ by a few ulps.  All
+three paths are deterministic: identical inputs produce bit-identical
+output.
 
 A call is on the hot path of every transition, so its fixed cost is kept
 small: ``LpResult`` is a named tuple, each kernel returns a plain
@@ -203,11 +208,14 @@ def _simplex_max(row: ConstraintRow, obj: Objective, minimise: bool) -> tuple:
     ``obj.target(minimise)``.  The cost vector it minimises is ``-c``, that
     is ``obj.target(not minimise)``.
 
-    Uses Bland's smallest-index rule for both the entering and the leaving
-    variable, which excludes cycling and fixes the pivot sequence, so the
-    solver is fully deterministic.  The feasible set is a subset of the
-    probability simplex, hence bounded; an unbounded ray indicates a numeric
-    breakdown and raises ``NumericalError``.
+    Enters by Dantzig's rule, or by Bland's after a degenerate pivot, and
+    leaves by the minimum ratio with ties to the smallest basic index (see
+    ``_run_phase``).  This excludes cycling and fixes the pivot sequence, so
+    the solver is fully deterministic; the path it takes fixes the last bits
+    of the value, which differ by a few ulps from those of Bland's rule
+    alone.  The feasible set is a subset of the probability simplex, hence
+    bounded; an unbounded ray indicates a numeric breakdown and raises
+    ``NumericalError``.
 
     Phase 1 does not depend on the objective, so it is solved once per row
     (``_phase_one``); each call copies that start and runs phase 2 from it.
@@ -328,23 +336,37 @@ def _reduced_costs(tableau: list, basic_costs: list, costs: list) -> list:
 
 
 def _run_phase(tableau: list, basis: list) -> int:
-    """Pivot by Bland's rule until no reduced cost is negative; returns the
-    pivot count.
+    """Pivot until no reduced cost is below ``-PIVOT_TOL``; returns the pivot
+    count.
 
     ``tableau[-1]`` is the reduced-cost row; the others are the constraint
     rows, whose basic variables are listed in ``basis``.  Entering
-    candidates are the structural and slack columns.
+    candidates are the structural and slack columns.  The entering column is
+    the one with the most negative reduced cost, lowest index on ties
+    (Dantzig's rule), except right after a degenerate pivot (ratio at most
+    ``PIVOT_TOL``), when it is the first column below ``-PIVOT_TOL``
+    (Bland's rule).  The leaving row is always chosen by the minimum ratio,
+    ties to the lowest basic index, as Bland's rule asks.
+
+    This cannot cycle.  A pivot that is not degenerate lowers the objective,
+    so a basis can only recur through degenerate pivots alone.  In such a
+    cycle every pivot follows a degenerate pivot, so every pivot is chosen
+    by Bland's rule, and Bland's rule never cycles (Bland 1977).
     """
     n_rows = len(basis)
     n_cols = len(tableau[0]) - 1
     pivots = 0
+    degenerate = False
     while True:
         obj = tableau[-1]
         enter = -1
+        least = -PIVOT_TOL
         for j in range(n_cols):
-            if obj[j] < -PIVOT_TOL:
+            if obj[j] < least:
                 enter = j
-                break
+                if degenerate:
+                    break
+                least = obj[j]
         if enter < 0:
             return pivots
         leave = -1
@@ -366,6 +388,7 @@ def _run_phase(tableau: list, basis: list) -> int:
         _pivot(tableau, leave, enter)
         basis[leave] = enter
         pivots += 1
+        degenerate = best_ratio <= PIVOT_TOL
 
 
 def _pivot(tableau: list, r: int, j: int) -> None:

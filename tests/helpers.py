@@ -211,11 +211,13 @@ def reference_simplex_max(c, a_ub, b_ub):
     scales the row, builds the full tableau (artificial columns included)
     and solves both phases on every call.
 
-    Uses Bland's smallest-index rule for both the entering and the leaving
-    variable, which excludes cycling and fixes the pivot sequence, so the
-    solver is fully deterministic.  The feasible set is a subset of the
-    probability simplex, hence bounded; an unbounded ray indicates a numeric
-    breakdown and raises ``NumericalError``.
+    Enters by Dantzig's rule (most negative reduced cost, lowest index on
+    ties), or by Bland's smallest-index rule right after a degenerate pivot,
+    and leaves by the minimum ratio with ties to the smallest basic index,
+    as ``lp._run_phase`` does.  This excludes cycling and fixes the pivot
+    sequence, so the solver is fully deterministic.  The feasible set is a
+    subset of the probability simplex, hence bounded; an unbounded ray
+    indicates a numeric breakdown and raises ``NumericalError``.
 
     Each inequality is scaled to unit max-norm first, so that the absolute
     tolerances ``PIVOT_TOL`` and ``EPS_FEAS`` mean the same on every row
@@ -280,12 +282,18 @@ def reference_simplex_max(c, a_ub, b_ub):
             if cb != 0.0:
                 obj -= cb * tableau[i]
         pivots = 0
+        degenerate = False
         while True:
+            # Dantzig's rule (most negative, lowest index on ties), or
+            # Bland's (first negative) right after a degenerate pivot.
             enter = -1
+            least = -PIVOT_TOL
             for j in range(allowed):
-                if obj[j] < -PIVOT_TOL:
+                if obj[j] < least:
                     enter = j
-                    break
+                    if degenerate:
+                        break
+                    least = obj[j]
             if enter < 0:
                 break
             leave = -1
@@ -315,6 +323,7 @@ def reference_simplex_max(c, a_ub, b_ub):
             obj -= obj[enter] * pivot_row
             basis[leave] = enter
             pivots += 1
+            degenerate = best_ratio <= PIVOT_TOL
         # Current objective value is -obj[-1]; stash it on the last row.
         tableau[-1] = obj
         return pivots

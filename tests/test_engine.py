@@ -251,6 +251,24 @@ class TestInfer:
         assert result.lower == pytest.approx(0.2, abs=1e-12)
         assert result.lp_calls == 2
 
+    def test_conditional_vectors_are_not_checked_again(self, monkeypatch):
+        # The initial-set step takes the checked conditional vectors as they
+        # are; the result still holds them as writable arrays.
+        model = random_model(np.random.default_rng(8), 4)
+        spec = random_spec(np.random.default_rng(9), 4, min_horizon=3)
+        upper, lower = conditional_bounds(model, spec)
+        checks = []
+        as_vector = lp.as_vector
+        monkeypatch.setattr(
+            lp, "as_vector", lambda *a, **k: checks.append(1) or as_vector(*a, **k)
+        )
+        result = infer(model, spec)
+        assert checks == []
+        assert result.upper_conditional.tobytes() == upper.tobytes()
+        assert result.lower_conditional.tobytes() == lower.tobytes()
+        assert result.upper_conditional.flags.writeable
+        assert result.lower_conditional.flags.writeable
+
     def test_precise_chain_collapses(self):
         model, p0, t = singleton_model(rng, 3)
         spec = random_spec(rng, 3)
