@@ -22,6 +22,13 @@ two settings, a finite tol > 0 and an integer max_horizon >= 2, default to
 1e-6 and 100000.  A limit run's result document is the fixed-horizon one
 plus the horizon reached, the convergence flag and the per-horizon traces.
 
+A model document is parsed in two steps.  One pure-Python pass over the row
+documents, in state order and then the initial set, makes every check that
+can raise, so the first bad row names the error.  The interval rows and the
+vertex rows are then each built from one array per field
+(``IntervalRow.stack``, ``VertexRow.stack``); constraint rows are built one
+by one in the first pass.
+
 Exit codes: 0 success, 2 parse or validation error, 3 numerical failure,
 4 size cap exceeded (and 1 for a check that found a discrepancy).
 """
@@ -78,18 +85,25 @@ def _require(doc: dict, key: str, kind: str):
     return doc[key]
 
 
-def _finite_number(value, where: str) -> float:
+def _finite_number(value, where: str, key=None) -> float:
     """A document number as a float; anything else, NaN, an infinity or an
-    integer beyond float range raises a ``DocumentError`` naming ``where``."""
+    integer beyond float range raises a ``DocumentError`` naming ``where``,
+    or ``where[key]`` when a ``key`` is given."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DocumentError(f"{where} must be a number")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise DocumentError(f"{where} must be finite")
-    return number
+        problem = "must be a number"
+    else:
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+        problem = "must be finite"
+    field = where if key is None else f"{where}[{key!r}]"
+    raise DocumentError(f"{field} {problem}")
+
+
+_FLOAT_ONLY = frozenset([float])
 
 
 def _is_number_type(t: type) -> bool:
@@ -100,9 +114,13 @@ def _parse_numbers(values, where: str) -> list[float]:
     if not isinstance(values, list):
         raise DocumentError(f"{where} must be a list of numbers")
     # Each distinct element type is checked once, and then ``float`` runs
-    # over the list at C speed.  A list that fails the check takes the
-    # element loop, so its error is the one the first bad element gives.
-    if all(map(_is_number_type, set(map(type, values)))):
+    # over the list at C speed; a list of floats alone, as a JSON reader
+    # makes them, is returned as it is.  A list that fails the check takes
+    # the element loop, so its error is the one the first bad element gives.
+    types = set(map(type, values))
+    if types <= _FLOAT_ONLY:
+        return values
+    if all(map(_is_number_type, types)):
         return list(map(float, values))
     out = []
     for v in values:
@@ -112,9 +130,30 @@ def _parse_numbers(values, where: str) -> list[float]:
     return out
 
 
-def parse_row(doc, where: str, dim: int) -> CredalRow:
-    """Build a credal row from its document form; ``dim`` is the number of
-    states, the width of a constraint row with an empty ``A``."""
+def _check_finite(values: list[float], where: str, name: str):
+    # A sum is finite only if every term is; a finite sum of finite terms
+    # may still overflow, so that case alone takes the element check.
+    if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+        raise DocumentError(f"{where}: {name} contains non-finite entries")
+
+
+def _check_lengths(lists: list[list[float]], where: str) -> int:
+    """The length of every list in ``lists``; the first of another length
+    raises a ``DocumentError`` naming it."""
+    width = len(lists[0])
+    for i, values in enumerate(lists):
+        if len(values) != width:
+            raise DocumentError(
+                f"{where}[{i}] has length {len(values)}, expected {width}"
+            )
+    return width
+
+
+def _row_fields(doc, where: str, dim: int) -> tuple:
+    """Every check of a row document that can raise, in the order the row
+    constructors make them, in plain Python.  Returns ``("intervals",
+    (lower, upper))`` or ``("vertices", vertex_lists)`` with the numbers as
+    lists of floats, or ``("constraints", row)`` with the row built."""
     if not isinstance(doc, dict) or len(doc) != 1:
         raise DocumentError(
             f"{where} must be an object with exactly one of "
@@ -125,21 +164,36 @@ def parse_row(doc, where: str, dim: int) -> CredalRow:
         if key == "intervals":
             lower = _parse_numbers(_require(body, "lower", where), f"{where}.lower")
             upper = _parse_numbers(_require(body, "upper", where), f"{where}.upper")
-            return IntervalRow(lower=np.array(lower), upper=np.array(upper))
+            _check_finite(lower, where, "lower bounds")
+            if len(upper) != len(lower):
+                raise DocumentError(f"{where}: upper bounds has length "
+                                    f"{len(upper)}, expected {len(lower)}")
+            _check_finite(upper, where, "upper bounds")
+            return key, (lower, upper)
         if key == "vertices":
             if not isinstance(body, list) or not body:
                 raise DocumentError(f"{where}.vertices must be a nonempty list")
-            rows = [_parse_numbers(v, f"{where}.vertices[{i}]")
-                    for i, v in enumerate(body)]
-            return VertexRow(vertices=np.array(rows))
+            vertices = [_parse_numbers(v, f"{where}.vertices[{i}]")
+                        for i, v in enumerate(body)]
+            if _check_lengths(vertices, f"{where}.vertices") == 0:
+                raise DocumentError(
+                    f"{where}: vertex list must be a nonempty 2-D array"
+                )
+            for v in vertices:
+                _check_finite(v, where, "vertex list")
+            return key, vertices
         if key == "constraints":
             a = _require(body, "A", where)
             b = _parse_numbers(_require(body, "b", where), f"{where}.b")
             if not isinstance(a, list):
                 raise DocumentError(f"{where}.A must be a list of rows")
             mat = [_parse_numbers(r, f"{where}.A[{i}]") for i, r in enumerate(a)]
-            a = np.array(mat).reshape(len(mat), -1) if mat else np.zeros((0, dim))
-            return ConstraintRow(a=a, b=np.array(b))
+            if mat:
+                _check_lengths(mat, f"{where}.A")
+                a = np.array(mat)
+            else:
+                a = np.zeros((0, dim))
+            return key, ConstraintRow(a=a, b=np.array(b))
     except DocumentError:
         raise  # already names the field it is about
     except (ValueError, OverflowError) as exc:
@@ -147,8 +201,42 @@ def parse_row(doc, where: str, dim: int) -> CredalRow:
     raise DocumentError(f"{where}: unknown row representation {key!r}")
 
 
+def _build_rows(fields: list[tuple]) -> list[CredalRow]:
+    """The rows of checked ``_row_fields`` results, in their order.  The
+    interval rows of one width are built together, from one array per bound,
+    and so are the vertex rows of one width, from one array of all their
+    vertices."""
+    rows: list = [None] * len(fields)
+    groups: dict[tuple, list[int]] = {}
+    for i, (kind, value) in enumerate(fields):
+        if kind == "constraints":
+            rows[i] = value
+        else:
+            width = len(value[0])  # of the lower bounds, or of the first vertex
+            groups.setdefault((kind, width), []).append(i)
+    for (kind, _), positions in groups.items():
+        if kind == "intervals":
+            built = IntervalRow.stack([fields[i][1][0] for i in positions],
+                                      [fields[i][1][1] for i in positions])
+        else:
+            built = VertexRow.stack([fields[i][1] for i in positions])
+        for i, row in zip(positions, built):
+            rows[i] = row
+    return rows
+
+
+def parse_row(doc, where: str, dim: int) -> CredalRow:
+    """Build a credal row from its document form; ``dim`` is the number of
+    states, the width of a constraint row with an empty ``A``."""
+    return _build_rows([_row_fields(doc, where, dim)])[0]
+
+
 def parse_model(doc) -> ImpreciseMarkovChain:
-    """Build a model from its document form (structural checks only)."""
+    """Build a model from its document form (structural checks only).
+
+    One pass over the row documents, in state order and then the initial
+    set, makes every check that can raise, so the first bad row names the
+    error.  The rows of each kind are then built together (``_build_rows``)."""
     states = _require(doc, "states", "model")
     if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
         raise DocumentError("'states' must be a list of state names")
@@ -165,9 +253,10 @@ def parse_model(doc) -> ImpreciseMarkovChain:
     missing = [s for s in states if s not in rows_doc]
     if missing:
         raise DocumentError(f"'rows' is missing states: {', '.join(missing)}")
-    rows = tuple(parse_row(rows_doc[s], f"rows[{s!r}]", space.size) for s in states)
-    initial = parse_row(_require(doc, "initial", "model"), "initial", space.size)
-    return ImpreciseMarkovChain(states=space, initial=initial, rows=rows)
+    fields = [_row_fields(rows_doc[s], f"rows[{s!r}]", space.size) for s in states]
+    fields.append(_row_fields(_require(doc, "initial", "model"), "initial", space.size))
+    *rows, initial = _build_rows(fields)
+    return ImpreciseMarkovChain(states=space, initial=initial, rows=tuple(rows))
 
 
 def row_to_document(row: CredalRow) -> dict:
@@ -200,7 +289,7 @@ def _parse_gamble(doc, space: StateSpace, where: str) -> np.ndarray:
             idx = space.index(name)
         except KeyError:
             raise DocumentError(f"{where} references unknown state {name!r}") from None
-        out[idx] = _finite_number(value, f"{where}[{name!r}]")
+        out[idx] = _finite_number(value, where, name)
     return out
 
 

@@ -6,6 +6,13 @@ plain 1-D float array.  A credal row is a nonempty set of probability mass
 functions on the state space; three representations are supported (per-state
 probability intervals, an explicit vertex list, and a system of linear
 inequality constraints on the simplex).
+
+Rows of one kind can be built together: ``IntervalRow.stack`` and
+``VertexRow.stack`` make all of them from one array per field, and each row
+holds read-only views of those shared frozen arrays.  ``validate_model``
+likewise evaluates each interval rule and each vertex rule once over the
+stacked rows of that kind.  A sum that leaves float range is inf there,
+without a warning; every comparison that reads it is still exact.
 """
 
 from __future__ import annotations
@@ -56,13 +63,16 @@ class StateSpace:
     """Ordered finite set of distinct state names."""
 
     labels: tuple[str, ...]
+    _positions: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
         if not self.labels:
             raise ValueError("state space must contain at least one state")
-        if len(set(self.labels)) != len(self.labels):
+        positions = {label: i for i, label in enumerate(self.labels)}
+        if len(positions) != len(self.labels):
             raise ValueError("state labels must be pairwise distinct")
+        object.__setattr__(self, "_positions", positions)
 
     @property
     def size(self) -> int:
@@ -73,8 +83,8 @@ class StateSpace:
 
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._positions[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise KeyError(f"unknown state {label!r}") from None
 
     def indicator(self, subset: Iterable[str]) -> np.ndarray:
@@ -83,6 +93,21 @@ class StateSpace:
         for label in subset:
             out[self.index(label)] = 1.0
         return out
+
+
+def _interval_fields(lower: np.ndarray, upper: np.ndarray):
+    """The fields ``(lower, upper, supply, empty)`` of k interval rows, row by
+    row, from frozen ``(k, d)`` bounds: views of the bounds and of a frozen
+    ``(k, d+1)`` supply array, and a bool (see ``IntervalRow``).  Each row's
+    sum is the one ``lower[i].sum()`` gives, bit for bit."""
+    with np.errstate(over="ignore"):
+        total = lower.sum(axis=1)
+        supply = np.empty((lower.shape[0], lower.shape[1] + 1))
+        np.subtract(1.0, total, out=supply[:, 0])
+        np.maximum(upper - lower, 0.0, out=supply[:, 1:])
+    supply.flags.writeable = False
+    empty = (lower > upper + EPS_PROB).any(axis=1) | (total > 1.0 + EPS_PROB)
+    return zip(lower, upper, supply, empty.tolist())
 
 
 @dataclass(frozen=True)
@@ -98,7 +123,8 @@ class IntervalRow:
     computed once here: ``supply`` is the frozen ``(d+1,)`` array of the
     slack ``1 - sum(lower)`` followed by each state's headroom, ``upper -
     lower`` clipped at 0, and ``empty`` flags a row whose lower bounds
-    exceed its upper bounds or sum above 1.
+    exceed its upper bounds or sum above 1.  A row built here is the k=1 case
+    of ``stack``: both run the same computation on ``(k, d)`` arrays.
     """
 
     lower: np.ndarray
@@ -109,17 +135,33 @@ class IntervalRow:
     def __post_init__(self):
         lo = _freeze(as_vector(self.lower, name="lower bounds"))
         up = _freeze(as_vector(self.upper, size=lo.size, name="upper bounds"))
-        total = float(lo.sum())
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", up)
-        supply = np.empty(lo.size + 1)
-        supply[0] = 1.0 - total
-        np.maximum(up - lo, 0.0, out=supply[1:])
-        supply.flags.writeable = False
-        object.__setattr__(self, "supply", supply)
-        object.__setattr__(
-            self, "empty", bool((lo > up + EPS_PROB).any()) or total > 1.0 + EPS_PROB
-        )
+        (fields,) = _interval_fields(lo[None], up[None])
+        self._set(fields)
+
+    def _set(self, fields: tuple):
+        for name, value in zip(("lower", "upper", "supply", "empty"), fields):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def stack(cls, lower, upper) -> tuple[IntervalRow, ...]:
+        """The rows ``IntervalRow(lower[i], upper[i])`` of two ``(k, d)``
+        bound arrays, built at once with the same numbers, bit for bit.  Each
+        row's arrays are read-only views of shared frozen arrays."""
+        lo = np.array(lower, dtype=float)
+        up = np.array(upper, dtype=float)
+        if lo.ndim != 2 or up.shape != lo.shape:
+            raise ValueError(f"bounds must be two (k, d) arrays, got shapes "
+                             f"{lo.shape} and {up.shape}")
+        if not (np.isfinite(lo).all() and np.isfinite(up).all()):
+            raise ValueError("bounds contain non-finite entries")
+        lo.flags.writeable = False
+        up.flags.writeable = False
+        rows = []
+        for fields in _interval_fields(lo, up):
+            row = object.__new__(cls)
+            row._set(fields)
+            rows.append(row)
+        return tuple(rows)
 
     @property
     def dim(self) -> int:
@@ -170,6 +212,28 @@ class VertexRow:
         if not np.all(np.isfinite(arr)):
             raise ValueError("vertex list contains non-finite entries")
         object.__setattr__(self, "vertices", _freeze(arr))
+
+    @classmethod
+    def stack(cls, vertex_lists) -> tuple[VertexRow, ...]:
+        """The rows ``VertexRow(vertex_lists[i])``, each a nonempty list of
+        vertices of one common length, built from one ``(sum k, d)`` array.
+        Each row's ``vertices`` is a read-only view of that frozen array."""
+        counts = [len(vertices) for vertices in vertex_lists]
+        block = np.array([v for vertices in vertex_lists for v in vertices],
+                         dtype=float)
+        if block.ndim != 2 or block.shape[1] == 0 or 0 in counts:
+            raise ValueError("vertex lists must be nonempty and of one width")
+        if not np.isfinite(block).all():
+            raise ValueError("vertex list contains non-finite entries")
+        block.flags.writeable = False
+        rows = []
+        start = 0
+        for count in counts:
+            row = object.__new__(cls)
+            object.__setattr__(row, "vertices", block[start:start + count])
+            rows.append(row)
+            start += count
+        return tuple(rows)
 
     @property
     def dim(self) -> int:
@@ -290,48 +354,91 @@ def row_contains(row: CredalRow, p) -> bool:
     raise TypeError(f"unsupported credal row type {type(row).__name__}")
 
 
-def _row_violations(row: CredalRow, size: int, where: str) -> list[str]:
-    out: list[str] = []
-    if row.dim != size:
-        out.append(f"{where}: dimension {row.dim} does not match state count {size}")
-        return out
-    if isinstance(row, IntervalRow):
-        if np.any(row.lower < -EPS_PROB):
-            out.append(f"{where}: negative lower bound")
-        if np.any(row.upper > 1.0 + EPS_PROB):
-            out.append(f"{where}: upper bound above 1")
-        if np.any(row.lower > row.upper + EPS_PROB):
-            out.append(f"{where}: lower bound exceeds upper bound")
-        if float(row.lower.sum()) > 1.0 + EPS_PROB:
-            out.append(f"{where}: sum of lower bounds exceeds 1 "
-                       f"(sum={float(row.lower.sum()):.6g})")
-        if float(row.upper.sum()) < 1.0 - EPS_PROB:
-            out.append(f"{where}: sum of upper bounds is below 1 "
-                       f"(sum={float(row.upper.sum()):.6g})")
-    elif isinstance(row, VertexRow):
-        for k, v in enumerate(row.vertices):
-            if np.any(v < -EPS_PROB) or np.any(v > 1.0 + EPS_PROB):
-                out.append(f"{where}: vertex {k} has entries outside [0, 1]")
-            if abs(float(v.sum()) - 1.0) > EPS_PROB:
-                out.append(f"{where}: vertex {k} does not sum to 1 "
-                           f"(sum={float(v.sum()):.6g})")
-    elif isinstance(row, ConstraintRow):
-        from . import lp
+def _interval_violations(rows: list[IntervalRow]) -> list[list[str]]:
+    """Per row, the failed interval rules, each rule evaluated once over the
+    stacked rows."""
+    lower = np.array([row.lower for row in rows])
+    upper = np.array([row.upper for row in rows])
+    with np.errstate(over="ignore"):
+        lower_sum = lower.sum(axis=1)
+        upper_sum = upper.sum(axis=1)
+    fails = np.array([
+        (lower < -EPS_PROB).any(axis=1),
+        (upper > 1.0 + EPS_PROB).any(axis=1),
+        (lower > upper + EPS_PROB).any(axis=1),
+        lower_sum > 1.0 + EPS_PROB,
+        upper_sum < 1.0 - EPS_PROB,
+    ])
+    out: list[list[str]] = [[] for _ in rows]
+    for i in np.flatnonzero(fails.any(axis=0)).tolist():
+        messages = (
+            "negative lower bound",
+            "upper bound above 1",
+            "lower bound exceeds upper bound",
+            f"sum of lower bounds exceeds 1 (sum={lower_sum[i]:.6g})",
+            f"sum of upper bounds is below 1 (sum={upper_sum[i]:.6g})",
+        )
+        out[i] = [message for message, fail in zip(messages, fails[:, i]) if fail]
+    return out
 
-        if not lp.feasible(row):
-            out.append(f"{where}: constraint system admits no pmf")
-    else:
-        out.append(f"{where}: unsupported row type {type(row).__name__}")
+
+def _vertex_violations(rows: list[VertexRow]) -> list[list[str]]:
+    """Per row, the failed vertex rules, each rule evaluated once over all
+    the vertices of the rows, stacked."""
+    vertices = np.concatenate([row.vertices for row in rows])
+    with np.errstate(over="ignore"):
+        sums = vertices.sum(axis=1)
+    outside = ((vertices < -EPS_PROB) | (vertices > 1.0 + EPS_PROB)).any(axis=1)
+    unnormalised = np.abs(sums - 1.0) > EPS_PROB
+    bad = outside | unnormalised
+    out: list[list[str]] = [[] for _ in rows]
+    if bad.any():
+        start = 0
+        for messages, row in zip(out, rows):
+            for k in np.flatnonzero(bad[start:start + len(row.vertices)]).tolist():
+                if outside[start + k]:
+                    messages.append(f"vertex {k} has entries outside [0, 1]")
+                if unnormalised[start + k]:
+                    messages.append(f"vertex {k} does not sum to 1 "
+                                    f"(sum={sums[start + k]:.6g})")
+            start += len(row.vertices)
     return out
 
 
 def validate_model(model: ImpreciseMarkovChain) -> list[str]:
-    """Collect every invariant violation of a model; empty means valid."""
+    """Collect every invariant violation of a model; empty means valid.
+
+    The violations are listed row by row, in state order, then those of
+    the initial set."""
+    from . import lp
+
     size = model.states.size
     out: list[str] = []
     if len(model.rows) != size:
         out.append(f"model has {len(model.rows)} transition rows, expected {size}")
-    for label, row in zip(model.states.labels, model.rows):
-        out.extend(_row_violations(row, size, f"row {label!r}"))
-    out.extend(_row_violations(model.initial, size, "initial set"))
+    rows = [*model.rows[:size], model.initial]
+    found: list[list[str]] = [[] for _ in rows]
+    intervals, vertices = [], []
+    for i, row in enumerate(rows):
+        if row.dim != size:
+            found[i] = [f"dimension {row.dim} does not match state count {size}"]
+        elif isinstance(row, IntervalRow):
+            intervals.append(i)
+        elif isinstance(row, VertexRow):
+            vertices.append(i)
+        elif isinstance(row, ConstraintRow):
+            if not lp.feasible(row):
+                found[i] = ["constraint system admits no pmf"]
+        else:
+            found[i] = [f"unsupported row type {type(row).__name__}"]
+    for positions, check in ((intervals, _interval_violations),
+                             (vertices, _vertex_violations)):
+        if positions:
+            for i, messages in zip(positions, check([rows[i] for i in positions])):
+                found[i] = messages
+    labels = model.states.labels
+    for i, messages in enumerate(found):
+        if messages:
+            where = "initial set" if i == len(rows) - 1 else f"row {labels[i]!r}"
+            out.extend(f"{where}: {message}" for message in messages)
     return out

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from credalmc import cli
+from credalmc import IntervalRow, VertexRow, cli
 from credalmc.cli import (
     dumps_document,
     main,
@@ -44,6 +44,48 @@ ORACLE_OVERFLOW_QUERY = {
     "kind": "product",
     "fs": [{"a": 1e200, "b": 1e-200}, {"a": 1e-200, "b": 1e200}],
 }
+
+# Rows that between them break every validation rule: all five interval
+# rules in row a, three bad vertices in row b, an infeasible constraint
+# row, two rows of the wrong dimension and a bad initial set.  The rows
+# are listed out of state order; validate reports in state order.
+INVALID_EVERYWHERE = {
+    "states": ["a", "b", "c", "d", "e", "f"],
+    "rows": {
+        "f": {"vertices": [[0.5, 0.5]]},
+        "a": {"intervals": {"lower": [-0.1, 0.9, 0.9, 0.0, 0.0, 0.0],
+                            "upper": [1.5, -1.0, 0.2, 0.0, 0.0, 0.0]}},
+        "b": {"vertices": [[0.5, 0.5, 0.0, 0.0, 0.0, 0.0],
+                           [1.2, -0.2, 0.0, 0.0, 0.0, 0.0],
+                           [0.3, 0.3, 0.3, 0.0, 0.0, 0.0],
+                           [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+                           [2.0, 0.0, 0.0, 0.0, 0.0, 0.0]]},
+        "c": {"constraints": {"A": [[1, 1, 1, 1, 1, 1]], "b": [0.5]}},
+        "d": {"intervals": {"lower": [0, 0, 0], "upper": [1, 1, 1]}},
+        "e": {"intervals": {"lower": [0.2, 0.2, 0.2, 0.2, 0.2, 0.2],
+                            "upper": [1, 1, 1, 1, 1, 1]}},
+    },
+    "initial": {"intervals": {"lower": [0, 0, 0, 0, 0, 0],
+                              "upper": [0.1, 0.1, 0.1, 0.1, 0.1, 1.2]}},
+}
+INVALID_EVERYWHERE_ERROR = """\
+error: model is invalid:
+  - row 'a': negative lower bound
+  - row 'a': upper bound above 1
+  - row 'a': lower bound exceeds upper bound
+  - row 'a': sum of lower bounds exceeds 1 (sum=1.7)
+  - row 'a': sum of upper bounds is below 1 (sum=0.7)
+  - row 'b': vertex 1 has entries outside [0, 1]
+  - row 'b': vertex 2 does not sum to 1 (sum=0.9)
+  - row 'b': vertex 4 has entries outside [0, 1]
+  - row 'b': vertex 4 does not sum to 1 (sum=2)
+  - row 'c': constraint system admits no pmf
+  - row 'd': dimension 3 does not match state count 6
+  - row 'e': sum of lower bounds exceeds 1 (sum=1.2)
+  - row 'f': dimension 2 does not match state count 6
+  - initial set: upper bound above 1
+"""
+
 
 
 def run(capsys, *argv):
@@ -107,13 +149,70 @@ class TestValidateCommand:
          "rows['a'].lower must contain only numbers"),
         ({"intervals": {"lower": [float("nan")], "upper": [1]}},
          "rows['a']: lower bounds contains non-finite entries"),
+        # A ragged list names the first list of another length than the first.
+        ({"vertices": [[1, 0], [1]]}, "rows['a'].vertices[1] has length 1, expected 2"),
+        ({"constraints": {"A": [[1, 0], [1, 0], [1, 0, 0]], "b": [1, 1, 1]}},
+         "rows['a'].A[2] has length 3, expected 2"),
     ], ids=["bool", "missing-field", "no-vertices", "string-in-A",
-            "too-large-first", "string-first", "nan"])
+            "too-large-first", "string-first", "nan", "ragged-vertices",
+            "ragged-A"])
     def test_row_error_names_the_row_once(self, tmp_path, capsys, row, message):
         model = tmp_path / "model.json"
         model.write_text(json.dumps({"states": ["a"], "rows": {"a": row},
                                      "initial": {"vertices": [[1]]}}))
         assert run(capsys, "validate", str(model)) == (2, "", f"error: {message}\n")
+
+    def test_every_violation_listed_once_in_state_order(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(INVALID_EVERYWHERE))
+        assert run(capsys, "validate", str(model)) == (2, "", INVALID_EVERYWHERE_ERROR)
+
+    @pytest.mark.parametrize("rows, initial, message", [
+        ({"c": {"intervals": {"lower": ["x"], "upper": [1]}},
+          "b": {"vertices": [[1.0], [float("nan")]]}}, {"vertices": [[1, 0, 0]]},
+         "rows['b']: vertex list contains non-finite entries"),
+        ({"c": {"vertices": [[1.0], ["x"]]},
+          "b": {"intervals": {"lower": [0.5], "upper": [float("inf")]}}},
+         {"vertices": [[1, 0, 0]]},
+         "rows['b']: upper bounds contains non-finite entries"),
+        ({"c": {"intervals": {"lower": [0.5], "upper": [0.5, 0.5]}},
+          "b": {"vertices": [[1, 0, 0]]}}, {"vertices": [[float("nan")]]},
+         "rows['c']: upper bounds has length 2, expected 1"),
+    ], ids=["vertex-before-interval", "interval-before-vertex", "row-before-initial"])
+    def test_first_bad_row_in_state_order_wins(
+        self, tmp_path, capsys, rows, initial, message
+    ):
+        # The documents list the rows out of state order.
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "states": ["a", "b", "c"], "initial": initial,
+            "rows": dict(rows, a={"vertices": [[1, 0, 0]]}),
+        }))
+        assert run(capsys, "validate", str(model)) == (2, "", f"error: {message}\n")
+
+    def test_sums_beyond_float_range_print_no_warning(self, tmp_path):
+        # Each sum overflows to inf, which every comparison reads exactly.
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "states": ["a", "b", "c"],
+            "rows": {"a": {"intervals": {"lower": [0, 0, 0],
+                                         "upper": [1e308, 1e308, 1]}},
+                     "b": {"intervals": {"lower": [1e308, 1e308, 0],
+                                         "upper": [1e308, 1e308, 1]}},
+                     "c": {"vertices": [[1e308, 1e308, 0]]}},
+            "initial": {"vertices": [[1, 0, 0]]},
+        }))
+        proc = run_process("-m", "credalmc", "validate", str(model))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: model is invalid:\n"
+            "  - row 'a': upper bound above 1\n"
+            "  - row 'b': upper bound above 1\n"
+            "  - row 'b': sum of lower bounds exceeds 1 (sum=inf)\n"
+            "  - row 'c': vertex 0 has entries outside [0, 1]\n"
+            "  - row 'c': vertex 0 does not sum to 1 (sum=inf)\n"
+        )
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "/nonexistent/model.json")
@@ -432,6 +531,52 @@ class TestDocuments:
             assert code == 0
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 50, 200])
+    def test_parsed_rows_match_the_row_constructors_bit_for_bit(self, d):
+        # parse_model builds the rows of each kind together; the numbers must
+        # be those of one row built alone, -0.0 bounds and integers included.
+        rng = np.random.default_rng(d)
+        docs = []
+        for i in range(d + 1):
+            centre = rng.dirichlet(np.ones(d))
+            if i % 3 == 1:
+                vertices = rng.dirichlet(np.ones(d), size=1 + i % 4).tolist()
+                vertices[0][i % d] = -0.0
+                docs.append({"vertices": vertices})
+                continue
+            lower = (centre * rng.uniform(0.5, 1.0, d)).tolist()
+            upper = np.minimum(centre * rng.uniform(1.0, 1.5, d), 1.0).tolist()
+            lower[i % d] = -0.0
+            if i % 5 == 4:
+                upper[i % d] = 1
+            docs.append({"intervals": {"lower": lower, "upper": upper}})
+        labels = [f"s{i}" for i in range(d)]
+        doc = {"states": labels, "rows": dict(zip(labels, docs)), "initial": docs[-1]}
+        model = parse_model(json.loads(json.dumps(doc)))
+        parsed = (*model.rows, model.initial)
+        for row_doc, row in zip(docs, parsed):
+            if "intervals" in row_doc:
+                alone = IntervalRow(**row_doc["intervals"])
+                assert type(row.empty) is bool and row.empty == alone.empty
+                fields = ("lower", "upper", "supply")
+            else:
+                alone = VertexRow(row_doc["vertices"])
+                fields = ("vertices",)
+            assert type(row) is type(alone)
+            for field in fields:
+                got, want = getattr(row, field), getattr(alone, field)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+        # The stacked sums are the per-row sums, bit for bit.
+        intervals = [row for row in parsed if isinstance(row, IntervalRow)]
+        for stacked in (np.array([row.lower for row in intervals]),
+                        np.array([row.upper for row in intervals]),
+                        np.concatenate([row.vertices for row in parsed
+                                        if isinstance(row, VertexRow)])):
+            per_row = np.array([line.sum() for line in stacked])
+            assert stacked.sum(axis=1).tobytes() == per_row.tobytes()
 
     def test_serialised_numbers_parse_back_as_floats(self):
         # model_to_document lists numpy floats; they parse as Python floats.

@@ -156,3 +156,27 @@ class TestImmutability:
             model.rows[0].lower[0] = 0.0
         with pytest.raises(ValueError):
             VertexRow(vertices=[[0.5, 0.5]]).vertices[0, 0] = 0.1
+
+
+class TestStackedRows:
+    def test_rows_are_views_of_shared_frozen_arrays(self):
+        rows = IntervalRow.stack([[0.2, 0.3], [0.1, 0.1]], [[0.7, 0.8], [0.9, 0.9]])
+        assert rows[0].lower.base is rows[1].lower.base
+        assert rows[0].supply.base is rows[1].supply.base
+        vertex_rows = VertexRow.stack([[[1.0, 0.0]], [[0.5, 0.5], [0.0, 1.0]]])
+        assert vertex_rows[0].vertices.base is vertex_rows[1].vertices.base
+        assert [row.vertices.shape for row in vertex_rows] == [(1, 2), (2, 2)]
+        for row in rows:
+            for arr in (row.lower, row.upper, row.supply):
+                assert not arr.flags.writeable
+        assert not vertex_rows[1].vertices.flags.writeable
+
+    def test_stack_rejects_bad_arrays(self):
+        with pytest.raises(ValueError, match="shapes"):
+            IntervalRow.stack([[0.5, 0.5]], [[1.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            IntervalRow.stack([[0.5, np.nan]], [[1.0, 1.0]])
+        with pytest.raises(ValueError, match="nonempty"):
+            VertexRow.stack([[[1.0, 0.0]], []])
+        with pytest.raises(ValueError, match="non-finite"):
+            VertexRow.stack([[[np.inf, 0.0]]])
