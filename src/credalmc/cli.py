@@ -225,12 +225,6 @@ def _build_rows(fields: list[tuple]) -> list[CredalRow]:
     return rows
 
 
-def parse_row(doc, where: str, dim: int) -> CredalRow:
-    """Build a credal row from its document form; ``dim`` is the number of
-    states, the width of a constraint row with an empty ``A``."""
-    return _build_rows([_row_fields(doc, where, dim)])[0]
-
-
 def parse_model(doc) -> ImpreciseMarkovChain:
     """Build a model from its document form (structural checks only).
 

@@ -9,10 +9,12 @@ inequality constraints on the simplex).
 
 Rows of one kind can be built together: ``IntervalRow.stack`` and
 ``VertexRow.stack`` make all of them from one array per field, and each row
-holds read-only views of those shared frozen arrays.  ``validate_model``
-likewise evaluates each interval rule and each vertex rule once over the
-stacked rows of that kind.  A sum that leaves float range is inf there,
-without a warning; every comparison that reads it is still exact.
+holds read-only views of those shared frozen arrays.  Row construction is the
+one place that evaluates the validation rules of interval and vertex rows,
+once over the whole block (a row built alone is a block of one): each row
+keeps the rules it breaks in ``violations``, which ``validate_model`` and
+``lp.feasible`` read.  A sum that leaves float range is inf there, without a
+warning; every comparison that reads it is still exact.
 """
 
 from __future__ import annotations
@@ -95,52 +97,78 @@ class StateSpace:
         return out
 
 
+def _set_fields(row, values):
+    """Set a frozen row's fields to ``values``, in their declared order, and
+    return the row."""
+    for name, value in zip(row.__dataclass_fields__, values):
+        object.__setattr__(row, name, value)
+    return row
+
+
 def _interval_fields(lower: np.ndarray, upper: np.ndarray):
-    """The fields ``(lower, upper, supply, empty)`` of k interval rows, row by
-    row, from frozen ``(k, d)`` bounds: views of the bounds and of a frozen
-    ``(k, d+1)`` supply array, and a bool (see ``IntervalRow``).  Each row's
-    sum is the one ``lower[i].sum()`` gives, bit for bit."""
+    """The fields ``(lower, upper, supply, empty, violations)`` of k interval
+    rows, row by row, from frozen ``(k, d)`` bounds: views of the bounds and
+    of a frozen ``(k, d+1)`` supply array, a bool and a tuple of messages
+    (see ``IntervalRow``).  Each row's sums are the ones ``lower[i].sum()``
+    and ``upper[i].sum()`` give, bit for bit."""
     with np.errstate(over="ignore"):
-        total = lower.sum(axis=1)
+        lower_sum = lower.sum(axis=1)
+        upper_sum = upper.sum(axis=1)
         supply = np.empty((lower.shape[0], lower.shape[1] + 1))
-        np.subtract(1.0, total, out=supply[:, 0])
+        np.subtract(1.0, lower_sum, out=supply[:, 0])
         np.maximum(upper - lower, 0.0, out=supply[:, 1:])
     supply.flags.writeable = False
-    empty = (lower > upper + EPS_PROB).any(axis=1) | (total > 1.0 + EPS_PROB)
-    return zip(lower, upper, supply, empty.tolist())
+    fails = np.array([
+        (lower < -EPS_PROB).any(axis=1),
+        (upper > 1.0 + EPS_PROB).any(axis=1),
+        (lower > upper + EPS_PROB).any(axis=1),
+        lower_sum > 1.0 + EPS_PROB,
+        upper_sum < 1.0 - EPS_PROB,
+    ])
+    empty = fails[2] | fails[3]
+    violations = [()] * lower.shape[0]
+    for i in np.flatnonzero(fails.any(axis=0)).tolist():
+        messages = (
+            "negative lower bound",
+            "upper bound above 1",
+            "lower bound exceeds upper bound",
+            f"sum of lower bounds exceeds 1 (sum={lower_sum[i]:.6g})",
+            f"sum of upper bounds is below 1 (sum={upper_sum[i]:.6g})",
+        )
+        violations[i] = tuple(m for m, fail in zip(messages, fails[:, i]) if fail)
+    return zip(lower, upper, supply, empty.tolist(), violations)
 
 
 @dataclass(frozen=True)
 class IntervalRow:
     """Credal row given by componentwise probability bounds.
 
-    The row is the set of pmfs p with lower <= p <= upper.  Feasibility
-    (lower <= upper, sum(lower) <= 1 <= sum(upper)) is checked by
-    ``validate_model`` / ``lp.feasible``, not at construction time, so an
-    empty row can still be built and reported.
+    The row is the set of pmfs p with lower <= p <= upper.  Construction
+    does not require the row to be nonempty, so an empty row can still be
+    built and reported.
 
-    The bounds never change, so the invariants of the greedy pour are
-    computed once here: ``supply`` is the frozen ``(d+1,)`` array of the
-    slack ``1 - sum(lower)`` followed by each state's headroom, ``upper -
-    lower`` clipped at 0, and ``empty`` flags a row whose lower bounds
-    exceed its upper bounds or sum above 1.  A row built here is the k=1 case
-    of ``stack``: both run the same computation on ``(k, d)`` arrays.
+    The bounds never change, so what is read from them later is computed
+    once here: ``supply`` is the frozen ``(d+1,)`` array of the slack ``1 -
+    sum(lower)`` followed by each state's headroom, ``upper - lower`` clipped
+    at 0; ``empty`` flags a row whose lower bounds exceed its upper bounds or
+    sum above 1; ``violations`` holds a message for each rule the row breaks
+    (lower >= 0, upper <= 1, lower <= upper, sum(lower) <= 1 <= sum(upper),
+    each within ``EPS_PROB``), ``()`` for a valid row.  A row built here is
+    the k=1 case of ``stack``: both run the same computation on ``(k, d)``
+    arrays.
     """
 
     lower: np.ndarray
     upper: np.ndarray
     supply: np.ndarray = field(init=False, repr=False, compare=False)
     empty: bool = field(init=False, repr=False, compare=False)
+    violations: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo = _freeze(as_vector(self.lower, name="lower bounds"))
         up = _freeze(as_vector(self.upper, size=lo.size, name="upper bounds"))
         (fields,) = _interval_fields(lo[None], up[None])
-        self._set(fields)
-
-    def _set(self, fields: tuple):
-        for name, value in zip(("lower", "upper", "supply", "empty"), fields):
-            object.__setattr__(self, name, value)
+        _set_fields(self, fields)
 
     @classmethod
     def stack(cls, lower, upper) -> tuple[IntervalRow, ...]:
@@ -156,12 +184,8 @@ class IntervalRow:
             raise ValueError("bounds contain non-finite entries")
         lo.flags.writeable = False
         up.flags.writeable = False
-        rows = []
-        for fields in _interval_fields(lo, up):
-            row = object.__new__(cls)
-            row._set(fields)
-            rows.append(row)
-        return tuple(rows)
+        return tuple(_set_fields(object.__new__(cls), values)
+                     for values in _interval_fields(lo, up))
 
     @property
     def dim(self) -> int:
@@ -193,25 +217,60 @@ class IntervalRow:
         return p, states.size
 
 
+def _vertex_fields(block: np.ndarray, counts):
+    """The fields ``(vertices, violations)`` of the vertex rows that take
+    ``counts[i]`` rows of the ``(sum k, d)`` array ``block`` each, in order:
+    read-only views of ``block``, frozen here, and a tuple of messages (see
+    ``VertexRow``).  Raises ``ValueError`` on an empty list or a non-finite
+    entry."""
+    if block.ndim != 2 or block.shape[1] == 0 or 0 in counts:
+        raise ValueError("vertex list must be a nonempty 2-D array")
+    if not np.isfinite(block).all():
+        raise ValueError("vertex list contains non-finite entries")
+    block.flags.writeable = False
+    with np.errstate(over="ignore"):
+        sums = block.sum(axis=1)
+    outside = ((block < -EPS_PROB) | (block > 1.0 + EPS_PROB)).any(axis=1)
+    unnormalised = np.abs(sums - 1.0) > EPS_PROB
+    bad = outside | unnormalised
+    checked = bad.any()  # a valid block runs no loop over its vertices
+    fields = []
+    start = 0
+    for count in counts:
+        stop = start + count
+        messages = []
+        for k in np.flatnonzero(bad[start:stop]).tolist() if checked else ():
+            if outside[start + k]:
+                messages.append(f"vertex {k} has entries outside [0, 1]")
+            if unnormalised[start + k]:
+                messages.append(f"vertex {k} does not sum to 1 "
+                                f"(sum={sums[start + k]:.6g})")
+        fields.append((block[start:stop], tuple(messages)))
+        start = stop
+    return fields
+
+
 @dataclass(frozen=True)
 class VertexRow:
     """Credal row given by an explicit, nonempty list of pmfs.
 
     Linear objectives attain their extrema on the listed vertices, so the
     row behaves like the convex hull of the list for every purpose here.
+    ``violations`` holds, vertex by vertex, a message for each vertex with an
+    entry outside [0, 1] and each that does not sum to 1 (within
+    ``EPS_PROB``), ``()`` when every vertex is a pmf.  A row built here is the
+    k=1 case of ``stack``: both run the same computation.
     """
 
     vertices: np.ndarray
+    violations: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.vertices, dtype=float)
+        arr = np.array(self.vertices, dtype=float)
         if arr.ndim == 1:
             arr = arr[None, :]
-        if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-            raise ValueError("vertex list must be a nonempty 2-D array")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("vertex list contains non-finite entries")
-        object.__setattr__(self, "vertices", _freeze(arr))
+        (fields,) = _vertex_fields(arr, arr.shape[:1])
+        _set_fields(self, fields)
 
     @classmethod
     def stack(cls, vertex_lists) -> tuple[VertexRow, ...]:
@@ -221,19 +280,8 @@ class VertexRow:
         counts = [len(vertices) for vertices in vertex_lists]
         block = np.array([v for vertices in vertex_lists for v in vertices],
                          dtype=float)
-        if block.ndim != 2 or block.shape[1] == 0 or 0 in counts:
-            raise ValueError("vertex lists must be nonempty and of one width")
-        if not np.isfinite(block).all():
-            raise ValueError("vertex list contains non-finite entries")
-        block.flags.writeable = False
-        rows = []
-        start = 0
-        for count in counts:
-            row = object.__new__(cls)
-            object.__setattr__(row, "vertices", block[start:start + count])
-            rows.append(row)
-            start += count
-        return tuple(rows)
+        return tuple(_set_fields(object.__new__(cls), values)
+                     for values in _vertex_fields(block, counts))
 
     @property
     def dim(self) -> int:
@@ -343,7 +391,9 @@ def row_contains(row: CredalRow, p) -> bool:
     """
     p = as_vector(p, size=row.dim, name="pmf")
     tol = EPS_FEAS
-    if abs(float(p.sum()) - 1.0) > tol or np.any(p < -tol):
+    with np.errstate(over="ignore"):  # a sum beyond float range is inf
+        total = float(p.sum())
+    if abs(total - 1.0) > tol or np.any(p < -tol):
         return False
     if isinstance(row, IntervalRow):
         return bool(np.all(p >= row.lower - tol) and np.all(p <= row.upper + tol))
@@ -354,62 +404,12 @@ def row_contains(row: CredalRow, p) -> bool:
     raise TypeError(f"unsupported credal row type {type(row).__name__}")
 
 
-def _interval_violations(rows: list[IntervalRow]) -> list[list[str]]:
-    """Per row, the failed interval rules, each rule evaluated once over the
-    stacked rows."""
-    lower = np.array([row.lower for row in rows])
-    upper = np.array([row.upper for row in rows])
-    with np.errstate(over="ignore"):
-        lower_sum = lower.sum(axis=1)
-        upper_sum = upper.sum(axis=1)
-    fails = np.array([
-        (lower < -EPS_PROB).any(axis=1),
-        (upper > 1.0 + EPS_PROB).any(axis=1),
-        (lower > upper + EPS_PROB).any(axis=1),
-        lower_sum > 1.0 + EPS_PROB,
-        upper_sum < 1.0 - EPS_PROB,
-    ])
-    out: list[list[str]] = [[] for _ in rows]
-    for i in np.flatnonzero(fails.any(axis=0)).tolist():
-        messages = (
-            "negative lower bound",
-            "upper bound above 1",
-            "lower bound exceeds upper bound",
-            f"sum of lower bounds exceeds 1 (sum={lower_sum[i]:.6g})",
-            f"sum of upper bounds is below 1 (sum={upper_sum[i]:.6g})",
-        )
-        out[i] = [message for message, fail in zip(messages, fails[:, i]) if fail]
-    return out
-
-
-def _vertex_violations(rows: list[VertexRow]) -> list[list[str]]:
-    """Per row, the failed vertex rules, each rule evaluated once over all
-    the vertices of the rows, stacked."""
-    vertices = np.concatenate([row.vertices for row in rows])
-    with np.errstate(over="ignore"):
-        sums = vertices.sum(axis=1)
-    outside = ((vertices < -EPS_PROB) | (vertices > 1.0 + EPS_PROB)).any(axis=1)
-    unnormalised = np.abs(sums - 1.0) > EPS_PROB
-    bad = outside | unnormalised
-    out: list[list[str]] = [[] for _ in rows]
-    if bad.any():
-        start = 0
-        for messages, row in zip(out, rows):
-            for k in np.flatnonzero(bad[start:start + len(row.vertices)]).tolist():
-                if outside[start + k]:
-                    messages.append(f"vertex {k} has entries outside [0, 1]")
-                if unnormalised[start + k]:
-                    messages.append(f"vertex {k} does not sum to 1 "
-                                    f"(sum={sums[start + k]:.6g})")
-            start += len(row.vertices)
-    return out
-
-
 def validate_model(model: ImpreciseMarkovChain) -> list[str]:
     """Collect every invariant violation of a model; empty means valid.
 
     The violations are listed row by row, in state order, then those of
-    the initial set."""
+    the initial set.  Interval and vertex rows hold theirs from
+    construction; a constraint row is checked by ``lp.feasible``."""
     from . import lp
 
     size = model.states.size
@@ -417,27 +417,16 @@ def validate_model(model: ImpreciseMarkovChain) -> list[str]:
     if len(model.rows) != size:
         out.append(f"model has {len(model.rows)} transition rows, expected {size}")
     rows = [*model.rows[:size], model.initial]
-    found: list[list[str]] = [[] for _ in rows]
-    intervals, vertices = [], []
-    for i, row in enumerate(rows):
-        if row.dim != size:
-            found[i] = [f"dimension {row.dim} does not match state count {size}"]
-        elif isinstance(row, IntervalRow):
-            intervals.append(i)
-        elif isinstance(row, VertexRow):
-            vertices.append(i)
-        elif isinstance(row, ConstraintRow):
-            if not lp.feasible(row):
-                found[i] = ["constraint system admits no pmf"]
-        else:
-            found[i] = [f"unsupported row type {type(row).__name__}"]
-    for positions, check in ((intervals, _interval_violations),
-                             (vertices, _vertex_violations)):
-        if positions:
-            for i, messages in zip(positions, check([rows[i] for i in positions])):
-                found[i] = messages
     labels = model.states.labels
-    for i, messages in enumerate(found):
+    for i, row in enumerate(rows):
+        if not isinstance(row, (IntervalRow, VertexRow, ConstraintRow)):
+            messages = [f"unsupported row type {type(row).__name__}"]
+        elif row.dim != size:
+            messages = [f"dimension {row.dim} does not match state count {size}"]
+        elif isinstance(row, ConstraintRow):
+            messages = [] if lp.feasible(row) else ["constraint system admits no pmf"]
+        else:
+            messages = row.violations
         if messages:
             where = "initial set" if i == len(rows) - 1 else f"row {labels[i]!r}"
             out.extend(f"{where}: {message}" for message in messages)

@@ -48,7 +48,6 @@ from .core import (
     NumericalError,
     VertexRow,
     as_vector,
-    is_pmf,
 )
 
 # Entries smaller than this are treated as zero when selecting simplex pivots.
@@ -163,13 +162,15 @@ def minimize(row: CredalRow, objective, counter: LpCounter | None = None) -> LpR
 def feasible(row: CredalRow) -> bool:
     """True iff the row contains at least one probability mass function."""
     if isinstance(row, IntervalRow):
+        with np.errstate(over="ignore"):  # a sum beyond float range is inf
+            upper_sum = float(row.upper.sum())
         return bool(
             not row.empty
             and (row.lower >= -EPS_PROB).all()
-            and float(row.upper.sum()) >= 1.0 - EPS_PROB
+            and upper_sum >= 1.0 - EPS_PROB
         )
     if isinstance(row, VertexRow):
-        return all(is_pmf(v) for v in row.vertices)
+        return not row.violations
     if isinstance(row, ConstraintRow):
         try:
             _phase_one(row)

@@ -9,7 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from credalmc import IntervalRow, VertexRow, cli
+from credalmc import (
+    ConstraintRow,
+    ImpreciseMarkovChain,
+    IntervalRow,
+    StateSpace,
+    VertexRow,
+    cli,
+    validate_model,
+)
 from credalmc.cli import (
     dumps_document,
     main,
@@ -166,6 +174,24 @@ class TestValidateCommand:
         model = tmp_path / "model.json"
         model.write_text(json.dumps(INVALID_EVERYWHERE))
         assert run(capsys, "validate", str(model)) == (2, "", INVALID_EVERYWHERE_ERROR)
+
+    def test_library_model_lists_the_violations_of_the_parsed_one(self):
+        def build(row_doc):
+            (kind, body), = row_doc.items()
+            if kind == "intervals":
+                return IntervalRow(body["lower"], body["upper"])
+            if kind == "vertices":
+                return VertexRow(body)
+            return ConstraintRow(body["A"], body["b"])
+
+        states = INVALID_EVERYWHERE["states"]
+        model = ImpreciseMarkovChain(
+            states=StateSpace(tuple(states)),
+            initial=build(INVALID_EVERYWHERE["initial"]),
+            rows=tuple(build(INVALID_EVERYWHERE["rows"][s]) for s in states),
+        )
+        lines = INVALID_EVERYWHERE_ERROR.splitlines()[1:]
+        assert [f"  - {v}" for v in validate_model(model)] == lines
 
     @pytest.mark.parametrize("rows, initial, message", [
         ({"c": {"intervals": {"lower": ["x"], "upper": [1]}},

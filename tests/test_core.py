@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +17,7 @@ from credalmc import (
     row_contains,
     validate_model,
 )
+from credalmc.core import EPS_PROB
 from helpers import e1_model, random_model, random_pmf
 
 rng = np.random.default_rng(1001)
@@ -99,6 +102,14 @@ class TestValidation:
         )
         assert any("no pmf" in v for v in validate_model(model))
 
+    def test_unsupported_row_type_reported(self):
+        model = ImpreciseMarkovChain(
+            states=StateSpace(("s0", "s1")),
+            initial=IntervalRow(lower=[0.0, 0.0], upper=[1.0, 1.0]),
+            rows=(object(), IntervalRow(lower=[0.0, 0.0], upper=[1.0, 1.0])),
+        )
+        assert validate_model(model) == ["row 's0': unsupported row type object"]
+
     def test_every_valid_row_has_a_witness(self):
         # Constructive nonemptiness across representations.
         for trial in range(30):
@@ -180,3 +191,46 @@ class TestStackedRows:
             VertexRow.stack([[[1.0, 0.0]], []])
         with pytest.raises(ValueError, match="non-finite"):
             VertexRow.stack([[[np.inf, 0.0]]])
+
+    def test_stacked_rows_break_the_rules_of_rows_built_alone(self):
+        # Each rule's threshold is 0 or 1 give or take EPS_PROB; the values
+        # land on both sides of it, and some sums leave float range.
+        shifts = [s * e for s in (-1, 1)
+                  for e in (EPS_PROB, np.nextafter(EPS_PROB, 0), 2 * EPS_PROB)]
+        edges = [t + shift for t in (0.0, 1.0) for shift in shifts]
+        bounds = [([0.2, 0.3], [0.7, 0.8]),
+                  ([0.0, 0.0], [1e308, 1e308]), ([1e308, 1e308], [1e308, 1e308]),
+                  ([-0.1, 0.9], [1.5, -1.0])]
+        for x in edges:
+            bounds += [([x, 0.0], [1.0, 1.0]),   # negative lower, lower sum
+                       ([0.0, 0.0], [x, 0.0]),   # upper above 1, upper sum
+                       ([x, 0.0], [0.0, 1.0])]   # lower exceeds upper
+        lower, upper = zip(*bounds)
+        stacked = IntervalRow.stack(lower, upper)
+        alone = [IntervalRow(lo, up) for lo, up in bounds]
+        found = [row.violations for row in stacked]
+        assert found == [row.violations for row in alone]
+        rules = {message.split(" (")[0] for messages in found for message in messages}
+        assert rules == {"negative lower bound", "upper bound above 1",
+                         "lower bound exceeds upper bound",
+                         "sum of lower bounds exceeds 1",
+                         "sum of upper bounds is below 1"}
+        assert () in found
+
+        vertex_lists = [[[0.5, 0.5]], [[1e308, 1e308]], [[1.5, -0.5], [0.3, 0.3]]]
+        for x in edges:
+            vertex_lists += [[[x, 0.0]], [[0.5, 0.5], [x, 1.0]], [[x, 1.0 - x]]]
+        stacked = VertexRow.stack(vertex_lists)
+        alone = [VertexRow(vertices) for vertices in vertex_lists]
+        found = [row.violations for row in stacked]
+        assert found == [row.violations for row in alone]
+        rules = {message.split(" ", 2)[2].split(" (")[0]
+                 for messages in found for message in messages}
+        assert rules == {"has entries outside [0, 1]", "does not sum to 1"}
+        assert () in found
+
+    def test_sums_beyond_float_range_warn_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = IntervalRow(lower=[0.0, 0.0], upper=[1.0, 1.0])
+            assert row_contains(row, [1e308, 1e308]) is False

@@ -18,13 +18,14 @@ from credalmc import (
     expectation,
     feasible,
     interval_witness,
+    is_pmf,
     maximize,
     minimize,
     row_contains,
     validate_model,
 )
 from credalmc import lp
-from credalmc.core import EPS_FEAS
+from credalmc.core import EPS_FEAS, EPS_PROB
 from helpers import (
     interval_to_constraints,
     random_constraint_row,
@@ -210,6 +211,29 @@ class TestFeasible:
         for _ in range(20):
             d = int(rng.integers(2, 5))
             assert feasible(random_constraint_row(rng, d))
+
+    @given(data=st.data())
+    def test_vertex_row_is_feasible_iff_every_vertex_is_a_pmf(self, data):
+        # The reference is the per-vertex rule, is_pmf, on every vertex.
+        # Entries and sums land on either side of each rule's threshold.
+        d = data.draw(st.integers(1, 4))
+        shifts = [s * e for s in (-1, 1)
+                  for e in (EPS_PROB, np.nextafter(EPS_PROB, 0), 2 * EPS_PROB)]
+        edges = [t + shift for t in (0.0, 1.0) for shift in shifts]
+        entry = st.one_of(st.floats(-0.5, 1.5), st.sampled_from([*edges, 1e308]))
+        pmf = st.lists(st.floats(0.01, 1.0), min_size=d, max_size=d).map(
+            lambda xs: [x / sum(xs) for x in xs])
+        shifted = st.tuples(pmf, st.sampled_from(shifts)).map(
+            lambda pair: [pair[0][0] + pair[1], *pair[0][1:]])
+        vertex = st.one_of(pmf, shifted, st.lists(entry, min_size=d, max_size=d))
+        vertices = data.draw(st.lists(vertex, min_size=1, max_size=4))
+        assert feasible(VertexRow(vertices)) == all(is_pmf(v) for v in vertices)
+
+    def test_sums_beyond_float_range_warn_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert feasible(IntervalRow([0, 0], [1e308, 1e308])) is True
+            assert feasible(VertexRow([[1e308, 1e308]])) is False
 
 
 class TestProperties:
