@@ -27,10 +27,11 @@ documents, in state order and then the initial set, makes every check that
 can raise, so the first bad row names the error.  The interval rows and the
 vertex rows are then each built from one array per field
 (``IntervalRow.stack``, ``VertexRow.stack``); constraint rows are built one
-by one in the first pass.
+by one in the first pass, each solving its simplex phase 1 there.
 
-Exit codes: 0 success, 2 parse or validation error, 3 numerical failure,
-4 size cap exceeded (and 1 for a check that found a discrepancy).
+Exit codes: 0 success, 2 parse or validation error or an unwritable
+``--output`` path, 3 numerical failure, 4 size cap exceeded (and 1 for a
+check that found a discrepancy).
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ CHECK_TOLERANCE = 1e-8
 
 
 class DocumentError(ValueError):
-    """A model or query document failed to parse or validate."""
+    """A model or query document failed to parse or validate, or the result
+    document could not be written."""
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +428,12 @@ def _conditional_map(space: StateSpace, lower_cond, upper_cond) -> dict:
 def _write_output(text: str, output: str | None):
     if output is None:
         sys.stdout.write(text + "\n")
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    except OSError as exc:
+        raise DocumentError(f"cannot write output file {output}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

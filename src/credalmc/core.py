@@ -10,11 +10,13 @@ inequality constraints on the simplex).
 Rows of one kind can be built together: ``IntervalRow.stack`` and
 ``VertexRow.stack`` make all of them from one array per field, and each row
 holds read-only views of those shared frozen arrays.  Row construction is the
-one place that evaluates the validation rules of interval and vertex rows,
-once over the whole block (a row built alone is a block of one): each row
-keeps the rules it breaks in ``violations``, which ``validate_model`` and
-``lp.feasible`` read.  A sum that leaves float range is inf there, without a
-warning; every comparison that reads it is still exact.
+one place that evaluates the validation rules of every row kind, interval and
+vertex rows once over the whole block (a row built alone is a block of one),
+constraint rows by solving phase 1 of the simplex: each row keeps the rules it
+breaks in ``violations``, which ``validate_model`` reads, and whether it holds
+a pmf in ``feasible``, which ``lp.feasible`` returns.  A sum that leaves float
+range is inf there, or NaN when it meets both infinities, without a warning;
+every comparison that reads it is still exact.
 """
 
 from __future__ import annotations
@@ -106,12 +108,12 @@ def _set_fields(row, values):
 
 
 def _interval_fields(lower: np.ndarray, upper: np.ndarray):
-    """The fields ``(lower, upper, supply, empty, violations)`` of k interval
-    rows, row by row, from frozen ``(k, d)`` bounds: views of the bounds and
-    of a frozen ``(k, d+1)`` supply array, a bool and a tuple of messages
-    (see ``IntervalRow``).  Each row's sums are the ones ``lower[i].sum()``
-    and ``upper[i].sum()`` give, bit for bit."""
-    with np.errstate(over="ignore"):
+    """The fields ``(lower, upper, supply, empty, violations, feasible)`` of k
+    interval rows, row by row, from frozen ``(k, d)`` bounds: views of the
+    bounds and of a frozen ``(k, d+1)`` supply array, a bool, a tuple of
+    messages and a bool (see ``IntervalRow``).  Each row's sums are the ones
+    ``lower[i].sum()`` and ``upper[i].sum()`` give, bit for bit."""
+    with np.errstate(over="ignore", invalid="ignore"):
         lower_sum = lower.sum(axis=1)
         upper_sum = upper.sum(axis=1)
         supply = np.empty((lower.shape[0], lower.shape[1] + 1))
@@ -126,6 +128,8 @@ def _interval_fields(lower: np.ndarray, upper: np.ndarray):
         upper_sum < 1.0 - EPS_PROB,
     ])
     empty = fails[2] | fails[3]
+    # A NaN sum fails ``>=`` as it fails every rule: such a row is infeasible.
+    feasible = ~empty & ~fails[0] & (upper_sum >= 1.0 - EPS_PROB)
     violations = [()] * lower.shape[0]
     for i in np.flatnonzero(fails.any(axis=0)).tolist():
         messages = (
@@ -136,7 +140,7 @@ def _interval_fields(lower: np.ndarray, upper: np.ndarray):
             f"sum of upper bounds is below 1 (sum={upper_sum[i]:.6g})",
         )
         violations[i] = tuple(m for m, fail in zip(messages, fails[:, i]) if fail)
-    return zip(lower, upper, supply, empty.tolist(), violations)
+    return zip(lower, upper, supply, empty.tolist(), violations, feasible.tolist())
 
 
 @dataclass(frozen=True)
@@ -153,9 +157,10 @@ class IntervalRow:
     at 0; ``empty`` flags a row whose lower bounds exceed its upper bounds or
     sum above 1; ``violations`` holds a message for each rule the row breaks
     (lower >= 0, upper <= 1, lower <= upper, sum(lower) <= 1 <= sum(upper),
-    each within ``EPS_PROB``), ``()`` for a valid row.  A row built here is
-    the k=1 case of ``stack``: both run the same computation on ``(k, d)``
-    arrays.
+    each within ``EPS_PROB``), ``()`` for a valid row; ``feasible`` flags a
+    row that holds a pmf: not empty, lower >= 0 and sum(upper) >= 1 (an upper
+    bound above 1 leaves it feasible).  A row built here is the k=1 case of
+    ``stack``: both run the same computation on ``(k, d)`` arrays.
     """
 
     lower: np.ndarray
@@ -163,6 +168,7 @@ class IntervalRow:
     supply: np.ndarray = field(init=False, repr=False, compare=False)
     empty: bool = field(init=False, repr=False, compare=False)
     violations: tuple = field(init=False, repr=False, compare=False)
+    feasible: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo = _freeze(as_vector(self.lower, name="lower bounds"))
@@ -218,17 +224,16 @@ class IntervalRow:
 
 
 def _vertex_fields(block: np.ndarray, counts):
-    """The fields ``(vertices, violations)`` of the vertex rows that take
-    ``counts[i]`` rows of the ``(sum k, d)`` array ``block`` each, in order:
-    read-only views of ``block``, frozen here, and a tuple of messages (see
-    ``VertexRow``).  Raises ``ValueError`` on an empty list or a non-finite
-    entry."""
+    """The fields ``(vertices, violations, feasible)`` of the vertex rows that
+    take ``counts[i]`` rows of the ``(sum k, d)`` array ``block`` each, in
+    order (see ``VertexRow``); ``vertices`` are read-only views of ``block``,
+    frozen here.  Raises ``ValueError`` on an empty list or a non-finite entry."""
     if block.ndim != 2 or block.shape[1] == 0 or 0 in counts:
         raise ValueError("vertex list must be a nonempty 2-D array")
     if not np.isfinite(block).all():
         raise ValueError("vertex list contains non-finite entries")
     block.flags.writeable = False
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         sums = block.sum(axis=1)
     outside = ((block < -EPS_PROB) | (block > 1.0 + EPS_PROB)).any(axis=1)
     unnormalised = np.abs(sums - 1.0) > EPS_PROB
@@ -245,7 +250,7 @@ def _vertex_fields(block: np.ndarray, counts):
             if unnormalised[start + k]:
                 messages.append(f"vertex {k} does not sum to 1 "
                                 f"(sum={sums[start + k]:.6g})")
-        fields.append((block[start:stop], tuple(messages)))
+        fields.append((block[start:stop], tuple(messages), not messages))
         start = stop
     return fields
 
@@ -258,12 +263,14 @@ class VertexRow:
     row behaves like the convex hull of the list for every purpose here.
     ``violations`` holds, vertex by vertex, a message for each vertex with an
     entry outside [0, 1] and each that does not sum to 1 (within
-    ``EPS_PROB``), ``()`` when every vertex is a pmf.  A row built here is the
-    k=1 case of ``stack``: both run the same computation.
+    ``EPS_PROB``), ``()`` when every vertex is a pmf; ``feasible`` is ``not
+    violations``.  A row built here is the k=1 case of ``stack``: both run
+    the same computation.
     """
 
     vertices: np.ndarray
     violations: tuple = field(init=False, repr=False, compare=False)
+    feasible: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.array(self.vertices, dtype=float)
@@ -292,25 +299,26 @@ class VertexRow:
 class ConstraintRow:
     """Credal row {p : a @ p <= b, p >= 0, sum(p) = 1}.
 
-    Feasibility is checked by ``validate_model`` / ``lp.feasible``, not at
-    construction time, so an empty row can still be built and reported.
-
     ``scaled_a`` and ``scaled_b`` hold each inequality divided by the
     max-norm of its coefficients (an all-zero inequality is left as it is),
     so that absolute tolerances mean the same on every row whatever its
     units; the simplex and ``row_contains`` both work on them.
-    ``simplex_start`` is the phase-1 simplex tableau, which ``lp`` computes
-    on the first optimisation over the row and keeps here; it is never
-    handed out or written to.
+
+    Phase 1 of the simplex does not depend on the objective, so it is solved
+    here, once: ``simplex_start`` is its tableau and basis, which every
+    optimisation over the row starts from and never writes to, or ``None``
+    when no pmf satisfies the row.  An empty row can still be built and
+    reported: ``violations`` is then ``("constraint system admits no pmf",)``
+    (``()`` otherwise) and ``feasible`` is ``False``.
     """
 
     a: np.ndarray
     b: np.ndarray
     scaled_a: np.ndarray = field(init=False, repr=False, compare=False)
     scaled_b: np.ndarray = field(init=False, repr=False, compare=False)
-    simplex_start: tuple | None = field(
-        init=False, default=None, repr=False, compare=False
-    )
+    simplex_start: tuple | None = field(init=False, repr=False, compare=False)
+    violations: tuple = field(init=False, repr=False, compare=False)
+    feasible: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -328,6 +336,14 @@ class ConstraintRow:
         # simplex |scaled_a @ p| <= 1, so +inf always holds and -inf never.
         with np.errstate(over="ignore"):
             object.__setattr__(self, "scaled_b", _freeze(b / norms))
+        from . import lp  # here, as lp imports this module
+        try:
+            start, violations = lp._solve_phase_one(self), ()
+        except InfeasibleRowError as exc:
+            start, violations = None, (str(exc),)
+        object.__setattr__(self, "simplex_start", start)
+        object.__setattr__(self, "violations", violations)
+        object.__setattr__(self, "feasible", start is not None)
 
     @property
     def dim(self) -> int:
@@ -391,7 +407,7 @@ def row_contains(row: CredalRow, p) -> bool:
     """
     p = as_vector(p, size=row.dim, name="pmf")
     tol = EPS_FEAS
-    with np.errstate(over="ignore"):  # a sum beyond float range is inf
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN sum
         total = float(p.sum())
     if abs(total - 1.0) > tol or np.any(p < -tol):
         return False
@@ -408,10 +424,7 @@ def validate_model(model: ImpreciseMarkovChain) -> list[str]:
     """Collect every invariant violation of a model; empty means valid.
 
     The violations are listed row by row, in state order, then those of
-    the initial set.  Interval and vertex rows hold theirs from
-    construction; a constraint row is checked by ``lp.feasible``."""
-    from . import lp
-
+    the initial set.  Every row holds its own from construction."""
     size = model.states.size
     out: list[str] = []
     if len(model.rows) != size:
@@ -423,8 +436,6 @@ def validate_model(model: ImpreciseMarkovChain) -> list[str]:
             messages = [f"unsupported row type {type(row).__name__}"]
         elif row.dim != size:
             messages = [f"dimension {row.dim} does not match state count {size}"]
-        elif isinstance(row, ConstraintRow):
-            messages = [] if lp.feasible(row) else ["constraint system admits no pmf"]
         else:
             messages = row.violations
         if messages:

@@ -12,8 +12,9 @@ one ``np.subtract.accumulate``, cap each state's share at its headroom, and
 scatter the positive shares onto the lower bounds.  Vertex rows use direct
 enumeration, and constraint rows run a dense two-phase simplex restricted to
 the probability simplex.  Only the objective changes from one call on a
-constraint row to the next, so phase 1 is solved once per row and kept on
-it; each call then runs phase 2 on a copy of that start, in plain Python
+constraint row to the next, so phase 1 is solved once per row, when the row
+is built (``ConstraintRow`` calls ``_solve_phase_one``), and kept on it;
+each call then runs phase 2 on a copy of that start, in plain Python
 floats (the tableaux are too small for numpy's per-operation overhead to pay
 off).  The simplex enters the column with the most negative reduced cost
 (Dantzig's rule) and falls back to Bland's smallest-index rule right after
@@ -40,7 +41,6 @@ import numpy as np
 
 from .core import (
     EPS_FEAS,
-    EPS_PROB,
     ConstraintRow,
     CredalRow,
     InfeasibleRowError,
@@ -160,23 +160,11 @@ def minimize(row: CredalRow, objective, counter: LpCounter | None = None) -> LpR
 
 
 def feasible(row: CredalRow) -> bool:
-    """True iff the row contains at least one probability mass function."""
-    if isinstance(row, IntervalRow):
-        with np.errstate(over="ignore"):  # a sum beyond float range is inf
-            upper_sum = float(row.upper.sum())
-        return bool(
-            not row.empty
-            and (row.lower >= -EPS_PROB).all()
-            and upper_sum >= 1.0 - EPS_PROB
-        )
-    if isinstance(row, VertexRow):
-        return not row.violations
-    if isinstance(row, ConstraintRow):
-        try:
-            _phase_one(row)
-        except InfeasibleRowError:
-            return False
-        return True
+    """True iff the row contains at least one probability mass function (for
+    a vertex row: iff every listed vertex is one).  The row decided this when
+    it was built and keeps it in ``row.feasible``."""
+    if isinstance(row, (IntervalRow, VertexRow, ConstraintRow)):
+        return row.feasible
     raise TypeError(f"unsupported credal row type {type(row).__name__}")
 
 
@@ -218,11 +206,14 @@ def _simplex_max(row: ConstraintRow, obj: Objective, minimise: bool) -> tuple:
     bounded; an unbounded ray indicates a numeric breakdown and raises
     ``NumericalError``.
 
-    Phase 1 does not depend on the objective, so it is solved once per row
-    (``_phase_one``); each call copies that start and runs phase 2 from it.
-    The iteration count includes the phase-1 pivots.
+    Phase 1 does not depend on the objective, so it was solved once, when
+    the row was built, and kept in ``row.simplex_start``; each call copies
+    that start and runs phase 2 from it, and counts its own pivots only.
+    A row without a start raises ``InfeasibleRowError``.
     """
-    start, basis, iterations = _phase_one(row)
+    if row.simplex_start is None:
+        raise InfeasibleRowError("constraint system admits no pmf")
+    start, basis = row.simplex_start
     d = row.dim
     costs = obj.target(not minimise).tolist()
     tableau = list(start)
@@ -230,7 +221,7 @@ def _simplex_max(row: ConstraintRow, obj: Objective, minimise: bool) -> tuple:
     tableau.append(
         _reduced_costs(tableau, [costs[k] if k < d else 0.0 for k in basis], costs)
     )
-    iterations += _run_phase(tableau, basis)
+    iterations = _run_phase(tableau, basis)
     p = np.zeros(d)
     for i, k in enumerate(basis):
         if k < d:
@@ -256,21 +247,9 @@ def _kernel(row: CredalRow):
     raise TypeError(f"unsupported credal row type {type(row).__name__}")
 
 
-def _phase_one(row: ConstraintRow):
-    """Phase-1 start of a row, solved on first use and kept on the row.
-
-    Only a success is kept, so an infeasible or numerically broken row
-    raises the same error on every call.
-    """
-    start = row.simplex_start
-    if start is None:
-        start = _solve_phase_one(row)
-        object.__setattr__(row, "simplex_start", start)
-    return start
-
-
 def _solve_phase_one(row: ConstraintRow):
-    """Phase 1 of the simplex on a row: ``(tableau, basis, pivots)``.
+    """Phase 1 of the simplex on a row: ``(tableau, basis)``, the start that
+    ``ConstraintRow`` keeps.
 
     The tableau has one row per scaled inequality (negated where its bound
     is negative) plus the ``sum(p) = 1`` row, over the structural and slack
@@ -311,7 +290,7 @@ def _solve_phase_one(row: ConstraintRow):
     tableau.append(
         _reduced_costs(tableau, [1.0 if k >= n_cols else 0.0 for k in basis], [])
     )
-    iterations = _run_phase(tableau, basis)
+    _run_phase(tableau, basis)
     if -tableau.pop()[-1] > EPS_FEAS:
         raise InfeasibleRowError("constraint system admits no pmf")
     for i in range(m + 1):
@@ -320,10 +299,9 @@ def _solve_phase_one(row: ConstraintRow):
                 if abs(tableau[i][j]) > PIVOT_TOL:
                     _pivot(tableau, i, j)
                     basis[i] = j
-                    iterations += 1
                     break
 
-    return tuple(map(tuple, tableau)), tuple(basis), iterations
+    return tuple(map(tuple, tableau)), tuple(basis)
 
 
 def _reduced_costs(tableau: list, basic_costs: list, costs: list) -> list:
@@ -397,7 +375,7 @@ def _pivot(tableau: list, r: int, j: int) -> None:
     column ``j`` from every other row that has a nonzero entry there.
 
     Rows are replaced by new lists, never written in place, so a tableau
-    that shares its rows with the cached phase-1 start leaves it unchanged.
+    that shares its rows with the kept phase-1 start leaves it unchanged.
     """
     pivot_value = tableau[r][j]
     pivot_row = [x / pivot_value for x in tableau[r]]

@@ -205,7 +205,8 @@ def reference_interval_maximize(row: IntervalRow, c):
 def reference_simplex_max(c, a_ub, b_ub):
     """Reference constraint-row maximum: (value, maximizer, iterations) of a
     dense two-phase simplex on numpy rows for: max c @ p  s.t.
-    a_ub @ p <= b_ub, sum(p) = 1, p >= 0.
+    a_ub @ p <= b_ub, sum(p) = 1, p >= 0.  ``iterations`` counts the
+    phase-2 pivots, as ``lp`` does.
 
     This is the solver ``lp`` used before phase 1 was kept per row: it
     scales the row, builds the full tableau (artificial columns included)
@@ -270,8 +271,6 @@ def reference_simplex_max(c, a_ub, b_ub):
         tableau[i, n_cols + j] = 1.0
         basis[i] = n_cols + j
 
-    iterations = 0
-
     def run_phase(costs: np.ndarray, allowed: int) -> int:
         # Reduced-cost row for minimising costs @ x; entering candidates are
         # the allowed columns with a negative reduced cost.
@@ -331,7 +330,7 @@ def reference_simplex_max(c, a_ub, b_ub):
     if n_art:
         phase1_costs = np.zeros(n_cols + n_art)
         phase1_costs[n_cols:] = 1.0
-        iterations += run_phase(phase1_costs, allowed=n_cols)
+        run_phase(phase1_costs, allowed=n_cols)
         if -tableau[-1, -1] > EPS_FEAS:
             raise InfeasibleRowError("constraint system admits no pmf")
         # Drive leftover artificials out of the basis where possible; a row
@@ -346,12 +345,11 @@ def reference_simplex_max(c, a_ub, b_ub):
                             if k != i and tableau[k, j] != 0.0:
                                 tableau[k] -= tableau[k, j] * pivot_row
                         basis[i] = j
-                        iterations += 1
                         break
 
     phase2_costs = np.zeros(n_cols + n_art)
     phase2_costs[:d] = -c
-    iterations += run_phase(phase2_costs, allowed=n_cols)
+    iterations = run_phase(phase2_costs, allowed=n_cols)
 
     x = np.zeros(n_cols + n_art)
     x[basis] = tableau[:n_rows, -1]

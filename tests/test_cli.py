@@ -240,6 +240,25 @@ class TestValidateCommand:
             "  - row 'c': vertex 0 does not sum to 1 (sum=inf)\n"
         )
 
+    def test_sums_of_both_infinities_print_no_warning(self, tmp_path):
+        # Over 32 entries numpy's pairwise sum adds +inf to -inf: NaN.
+        labels = [f"s{i}" for i in range(32)]
+        box = {"intervals": {"lower": [0] * 32, "upper": [1] * 32}}
+        rows = dict.fromkeys(labels, box)
+        rows["s0"] = {"intervals": {"lower": [0] * 32, "upper": [1e308, -1e308] * 16}}
+        rows["s1"] = {"vertices": [[1e308, -1e308] * 16]}
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"states": labels, "rows": rows, "initial": box}))
+        proc = run_process("-m", "credalmc", "validate", str(model))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: model is invalid:\n"
+            "  - row 's0': upper bound above 1\n"
+            "  - row 's0': lower bound exceeds upper bound\n"
+            "  - row 's1': vertex 0 has entries outside [0, 1]\n"
+        )
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "/nonexistent/model.json")
         assert code == 2
@@ -384,6 +403,23 @@ class TestInferCommand:
         assert out == ""
         doc = json.loads(target.read_text())
         assert doc["upper"] == pytest.approx(0.65, abs=1e-12)
+
+    @pytest.mark.parametrize("command", ["infer", "check"])
+    @pytest.mark.parametrize("target", ["missing/out.json", "."])
+    def test_unwritable_output_is_a_document_error(
+        self, tmp_path, capsys, command, target
+    ):
+        # A missing directory or a directory as the path: exit 2, not the 1
+        # that check keeps for a discrepancy, and one error line.
+        path = tmp_path / target
+        code, out, err = run(
+            capsys, command, MODEL, str(DATA / "query_hitting_prob_n3.json"),
+            "--output", str(path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write output file {path}: ")
+        assert err.count("\n") == 1
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(
@@ -603,6 +639,24 @@ class TestDocuments:
                                         if isinstance(row, VertexRow)])):
             per_row = np.array([line.sum() for line in stacked])
             assert stacked.sum(axis=1).tobytes() == per_row.tobytes()
+
+    def test_parsed_constraint_rows_match_rows_built_alone(self):
+        # Each constraint row solves its phase 1 when it is built, in the
+        # parse as alone; an infeasible row is built and keeps its message.
+        docs = {"a": {"constraints": {"A": [[1, -1, 0], [0, 1, -1]], "b": [0, 0]}},
+                "b": {"constraints": {"A": [[1, 1, 1]], "b": [0.5]}},
+                "c": {"constraints": {"A": [], "b": []}}}
+        initial = {"constraints": {"A": [[-2, 0, 0]], "b": [-0.5]}}
+        model = parse_model({"states": list(docs), "rows": docs, "initial": initial})
+        for doc, row in zip([*docs.values(), initial], [*model.rows, model.initial]):
+            a = np.array(doc["constraints"]["A"], dtype=float).reshape(-1, 3)
+            alone = ConstraintRow(a=a, b=doc["constraints"]["b"])
+            assert row.simplex_start == alone.simplex_start
+            assert row.violations == alone.violations
+            assert row.feasible is alone.feasible
+        assert [row.feasible for row in model.rows] == [True, False, True]
+        assert model.rows[1].violations == ("constraint system admits no pmf",)
+        assert model.rows[1].simplex_start is None
 
     def test_serialised_numbers_parse_back_as_floats(self):
         # model_to_document lists numpy floats; they parse as Python floats.

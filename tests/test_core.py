@@ -234,3 +234,20 @@ class TestStackedRows:
             warnings.simplefilter("error")
             row = IntervalRow(lower=[0.0, 0.0], upper=[1.0, 1.0])
             assert row_contains(row, [1e308, 1e308]) is False
+
+    def test_sums_of_both_infinities_warn_nothing(self):
+        # Over 32 entries numpy's pairwise sum adds +inf to -inf: NaN, which
+        # fails every rule; each such row breaks another rule as well.
+        both = [1e308, -1e308] * 16
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            box = IntervalRow(lower=[0.0] * 32, upper=[1.0] * 32)
+            assert row_contains(box, both) is False
+            rows = [IntervalRow([0.0] * 32, both), IntervalRow(both, [1e308] * 32),
+                    *IntervalRow.stack([[0.0] * 32, both], [both, [1e308] * 32]),
+                    VertexRow([both]), *VertexRow.stack([[both], [both]])]
+        assert [row.violations for row in rows] == 2 * [
+            ("upper bound above 1", "lower bound exceeds upper bound"),
+            ("negative lower bound", "upper bound above 1"),
+        ] + 3 * [("vertex 0 has entries outside [0, 1]",)]
+        assert not any(row.feasible for row in rows)
