@@ -19,9 +19,6 @@ from .core import (
     NumericalError,
     StateSpace,
     VertexRow,
-    expectation,
-    interval_witness,
-    is_pmf,
     row_contains,
     validate_model,
 )
@@ -42,12 +39,10 @@ from .inferences import (
     spec_sum,
     spec_time_average,
 )
-from .lp import LpCounter, LpResult, feasible, maximize, minimize
+from .lp import LpCounter, LpResult, maximize, minimize
 from .operators import (
     extended_lower,
     extended_upper,
-    iterate_lower,
-    iterate_upper,
     lower_transition,
     upper_transition,
 )
@@ -80,15 +75,9 @@ __all__ = [
     "VertexRow",
     "conditional_bounds",
     "enumerate_vertex_processes",
-    "expectation",
     "extended_lower",
     "extended_upper",
-    "feasible",
     "infer",
-    "interval_witness",
-    "is_pmf",
-    "iterate_lower",
-    "iterate_upper",
     "limit_infer",
     "lower_transition",
     "materialize_path_function",

@@ -30,8 +30,8 @@ vertex rows are then each built from one array per field
 by one in the first pass, each solving its simplex phase 1 there.
 
 Exit codes: 0 success, 2 parse or validation error or an unwritable
-``--output`` path, 3 numerical failure, 4 size cap exceeded (and 1 for a
-check that found a discrepancy).
+``--output`` path, 3 numerical failure, 4 size cap exceeded or out of memory
+(and 1 for a check that found a discrepancy).
 """
 
 from __future__ import annotations
@@ -108,22 +108,14 @@ def _finite_number(value, where: str, key=None) -> float:
 _FLOAT_ONLY = frozenset([float])
 
 
-def _is_number_type(t: type) -> bool:
-    return issubclass(t, (int, float)) and not issubclass(t, bool)
-
-
 def _parse_numbers(values, where: str) -> list[float]:
     if not isinstance(values, list):
         raise DocumentError(f"{where} must be a list of numbers")
-    # Each distinct element type is checked once, and then ``float`` runs
-    # over the list at C speed; a list of floats alone, as a JSON reader
-    # makes them, is returned as it is.  A list that fails the check takes
-    # the element loop, so its error is the one the first bad element gives.
-    types = set(map(type, values))
-    if types <= _FLOAT_ONLY:
+    # A list of floats alone, as a JSON reader makes them, is returned as it
+    # is; any other list takes the element loop, so its error is the one the
+    # first bad element gives.
+    if set(map(type, values)) <= _FLOAT_ONLY:
         return values
-    if all(map(_is_number_type, types)):
-        return list(map(float, values))
     out = []
     for v in values:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -255,27 +247,6 @@ def parse_model(doc) -> ImpreciseMarkovChain:
     return ImpreciseMarkovChain(states=space, initial=initial, rows=tuple(rows))
 
 
-def row_to_document(row: CredalRow) -> dict:
-    if isinstance(row, IntervalRow):
-        return {"intervals": {"lower": list(row.lower), "upper": list(row.upper)}}
-    if isinstance(row, VertexRow):
-        return {"vertices": [list(v) for v in row.vertices]}
-    if isinstance(row, ConstraintRow):
-        return {"constraints": {"A": [list(r) for r in row.a], "b": list(row.b)}}
-    raise TypeError(f"unsupported credal row type {type(row).__name__}")
-
-
-def model_to_document(model: ImpreciseMarkovChain) -> dict:
-    return {
-        "states": list(model.states.labels),
-        "rows": {
-            label: row_to_document(row)
-            for label, row in zip(model.states.labels, model.rows)
-        },
-        "initial": row_to_document(model.initial),
-    }
-
-
 def _parse_gamble(doc, space: StateSpace, where: str) -> np.ndarray:
     if not isinstance(doc, dict):
         raise DocumentError(f"{where} must map state names to numbers")
@@ -304,6 +275,9 @@ def _parse_horizon(doc, kind: str) -> int:
     n = _require(doc, "n", "query")
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise DocumentError(f"query kind {kind!r} needs an integer horizon n >= 1")
+    # A longer horizon has more steps than a Python sequence can hold.
+    if n > sys.maxsize:
+        raise DocumentError(f"query kind {kind!r} needs a horizon n <= {sys.maxsize}")
     return n
 
 
@@ -558,7 +532,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(exc: Exception, code: int) -> int:
+def _fail(exc: Exception | str, code: int) -> int:
     print(f"error: {exc}", file=sys.stderr)
     return code
 
@@ -578,6 +552,8 @@ def main(argv=None) -> int:
         return _fail(exc, 3)
     except CapExceededError as exc:
         return _fail(exc, 4)
+    except MemoryError as exc:  # e.g. the steps of a huge horizon
+        return _fail(str(exc) or "out of memory", 4)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -14,9 +14,9 @@ one place that evaluates the validation rules of every row kind, interval and
 vertex rows once over the whole block (a row built alone is a block of one),
 constraint rows by solving phase 1 of the simplex: each row keeps the rules it
 breaks in ``violations``, which ``validate_model`` reads, and whether it holds
-a pmf in ``feasible``, which ``lp.feasible`` returns.  A sum that leaves float
-range is inf there, or NaN when it meets both infinities, without a warning;
-every comparison that reads it is still exact.
+a pmf in ``feasible``.  A sum that leaves float range is inf there, or NaN
+when it meets both infinities, without a warning; every comparison that
+reads it is still exact.
 """
 
 from __future__ import annotations
@@ -373,29 +373,6 @@ class ImpreciseMarkovChain:
     @property
     def size(self) -> int:
         return self.states.size
-
-
-def expectation(p, f) -> float:
-    """Expectation of gamble ``f`` under pmf ``p``: sum over states of p*f."""
-    p = as_vector(p, name="pmf")
-    f = as_vector(f, size=p.size, name="gamble")
-    return float(np.dot(p, f))
-
-
-def is_pmf(p) -> bool:
-    """True iff ``p`` is a probability mass function within ``EPS_PROB``."""
-    arr = np.asarray(p, dtype=float)
-    if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
-        return False
-    if np.any(arr < -EPS_PROB) or np.any(arr > 1.0 + EPS_PROB):
-        return False
-    return abs(float(arr.sum()) - 1.0) <= EPS_PROB
-
-
-def interval_witness(row: IntervalRow) -> np.ndarray:
-    """Greedy feasible pmf of an interval row: start at the lower bounds and
-    fill the remaining mass in state order, capped by the upper bounds."""
-    return row.pour(np.arange(row.dim), np.arange(row.dim + 1))[0]
 
 
 def row_contains(row: CredalRow, p) -> bool:

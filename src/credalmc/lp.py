@@ -136,7 +136,7 @@ class Objective:
 def maximize(row: CredalRow, objective, counter: LpCounter | None = None) -> LpResult:
     """Maximise a linear objective over a credal row.
 
-    Returns the supremum of ``expectation(p, objective)`` over the row
+    Returns the supremum of the expectation ``objective @ p`` over the row
     together with a maximising pmf.  ``objective`` is a vector, checked on
     every call, or an ``Objective`` shared by many calls, which is only
     checked for its length.  Dispatches on the row representation; ties are
@@ -157,15 +157,6 @@ def minimize(row: CredalRow, objective, counter: LpCounter | None = None) -> LpR
     obj = Objective.checked(objective, row.dim)
     value, maximizer, iterations = _kernel(row)(row, obj, True)
     return LpResult(-value, maximizer, iterations)
-
-
-def feasible(row: CredalRow) -> bool:
-    """True iff the row contains at least one probability mass function (for
-    a vertex row: iff every listed vertex is one).  The row decided this when
-    it was built and keeps it in ``row.feasible``."""
-    if isinstance(row, (IntervalRow, VertexRow, ConstraintRow)):
-        return row.feasible
-    raise TypeError(f"unsupported credal row type {type(row).__name__}")
 
 
 # Each kernel maximises ``obj.target(minimise)`` over a row and returns the

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ImpreciseMarkovChain, as_vector
+from .core import ImpreciseMarkovChain
 from .lp import LpCounter, Objective, maximize, minimize
 
 
@@ -53,31 +53,6 @@ def lower_transition(
     ``f`` is a vector or an ``Objective``, as there."""
     f = Objective.checked(f, size=model.size, name="gamble")
     return _optimise_blocks(model, [f] * model.size, minimize, counter)
-
-
-def iterate_upper(
-    model: ImpreciseMarkovChain, f, k: int, counter: LpCounter | None = None
-) -> np.ndarray:
-    """k-fold application of the upper transition operator (k = 0 is the identity)."""
-    if k < 0:
-        raise ValueError("iteration count must be nonnegative")
-    out = as_vector(f, size=model.size, name="gamble").copy()
-    for _ in range(k):
-        out = upper_transition(model, out, counter)
-    return out
-
-
-def iterate_lower(
-    model: ImpreciseMarkovChain, f, k: int, counter: LpCounter | None = None
-) -> np.ndarray:
-    """k-fold application of the lower transition operator.
-
-    Bit-identical to applying ``lower_transition`` k times, because the
-    lower operator is exactly the negated upper operator of the negated gamble.
-    """
-    return -iterate_upper(
-        model, -as_vector(f, size=model.size, name="gamble"), k, counter
-    )
 
 
 def _contract(

@@ -1,5 +1,7 @@
 """Shared fixtures-by-hand: the worked two-state model, random instance
-generators, and small independent oracles used to derive expected values."""
+generators, small independent oracles used to derive expected values, and
+the reference functions that only tests call (operator iterates, the pmf
+rule, a greedy interval witness, and the model document writer)."""
 
 from __future__ import annotations
 
@@ -15,9 +17,9 @@ from credalmc import (
     RecursiveSpec,
     StateSpace,
     VertexRow,
-    interval_witness,
+    upper_transition,
 )
-from credalmc.core import EPS_FEAS, EPS_PROB, NumericalError
+from credalmc.core import EPS_FEAS, EPS_PROB, NumericalError, as_vector
 from credalmc.lp import PIVOT_TOL
 
 # The two-state worked model used throughout: out of s0 the chance of moving
@@ -39,6 +41,75 @@ def e1_model(initial="spec") -> ImpreciseMarkovChain:
     return ImpreciseMarkovChain(
         states=E1_SPACE, initial=init, rows=(E1_ROW_S0, E1_ROW_S1)
     )
+
+
+# ---------------------------------------------------------------------------
+# reference functions
+
+def expectation(p, f) -> float:
+    """Expectation of gamble ``f`` under pmf ``p``: sum over states of p*f."""
+    p = as_vector(p, name="pmf")
+    f = as_vector(f, size=p.size, name="gamble")
+    return float(np.dot(p, f))
+
+
+def is_pmf(p) -> bool:
+    """True iff ``p`` is a probability mass function within ``EPS_PROB``:
+    the per-vertex rule behind a vertex row's ``feasible`` flag."""
+    arr = np.asarray(p, dtype=float)
+    if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
+        return False
+    if np.any(arr < -EPS_PROB) or np.any(arr > 1.0 + EPS_PROB):
+        return False
+    return abs(float(arr.sum()) - 1.0) <= EPS_PROB
+
+
+def interval_witness(row: IntervalRow) -> np.ndarray:
+    """Greedy feasible pmf of an interval row: start at the lower bounds and
+    fill the remaining mass in state order, capped by the upper bounds."""
+    return row.pour(np.arange(row.dim), np.arange(row.dim + 1))[0]
+
+
+def iterate_upper(model: ImpreciseMarkovChain, f, k: int) -> np.ndarray:
+    """k-fold application of the upper transition operator (k = 0 is the identity)."""
+    if k < 0:
+        raise ValueError("iteration count must be nonnegative")
+    out = as_vector(f, size=model.size, name="gamble").copy()
+    for _ in range(k):
+        out = upper_transition(model, out)
+    return out
+
+
+def iterate_lower(model: ImpreciseMarkovChain, f, k: int) -> np.ndarray:
+    """k-fold application of the lower transition operator.
+
+    Bit-identical to applying ``lower_transition`` k times, because the
+    lower operator is exactly the negated upper operator of the negated gamble.
+    """
+    return -iterate_upper(model, -as_vector(f, size=model.size, name="gamble"), k)
+
+
+def row_to_document(row) -> dict:
+    """The document form of a credal row, as ``cli.parse_model`` reads it."""
+    if isinstance(row, IntervalRow):
+        return {"intervals": {"lower": list(row.lower), "upper": list(row.upper)}}
+    if isinstance(row, VertexRow):
+        return {"vertices": [list(v) for v in row.vertices]}
+    if isinstance(row, ConstraintRow):
+        return {"constraints": {"A": [list(r) for r in row.a], "b": list(row.b)}}
+    raise TypeError(f"unsupported credal row type {type(row).__name__}")
+
+
+def model_to_document(model: ImpreciseMarkovChain) -> dict:
+    """The document form of a model, as ``cli.parse_model`` reads it."""
+    return {
+        "states": list(model.states.labels),
+        "rows": {
+            label: row_to_document(row)
+            for label, row in zip(model.states.labels, model.rows)
+        },
+        "initial": row_to_document(model.initial),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from credalmc import (
     conditional_bounds,
     enumerate_vertex_processes,
     infer,
-    iterate_upper,
     limit_infer,
     lower_transition,
     materialize_path_function,
@@ -41,6 +40,7 @@ from helpers import (
     endpoint_bruteforce_two_step_upper,
     forward_conditional,
     forward_unconditional,
+    iterate_upper,
     path_value_hitting_probability,
     path_value_hitting_time,
     path_value_product,

@@ -21,10 +21,10 @@ from credalmc import (
 from credalmc.cli import (
     dumps_document,
     main,
-    model_to_document,
     parse_model,
     parse_query,
 )
+from helpers import model_to_document
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parent.parent / "src"
@@ -455,6 +455,26 @@ class TestInferCommand:
         assert err.startswith("error:")
         # In process, numpy's warnings go to the warnings machinery, not stderr.
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+    @pytest.mark.parametrize("command", ["infer", "check"])
+    @pytest.mark.parametrize("kind", ["single_instant", "time_average",
+                                      "hitting_probability", "hitting_time"])
+    @pytest.mark.parametrize("n", [10**20, 2**62])
+    def test_horizon_too_large_to_build_exits_cleanly(
+        self, tmp_path, capsys, command, kind, n
+    ):
+        # 10**20 is beyond an index-sized integer.  A sequence of 2**62 steps
+        # fits the index but not memory, and CPython refuses it before it
+        # allocates any of it.
+        target = {"A": ["s1"]} if kind.startswith("hitting") else {"f": {"s1": 1}}
+        q = tmp_path / "query.json"
+        q.write_text(json.dumps({"kind": kind, **target, "n": n}))
+        code, out, err = run(capsys, command, MODEL, str(q))
+        if n > sys.maxsize:
+            message = f"query kind {kind!r} needs a horizon n <= {sys.maxsize}"
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+        else:
+            assert (code, out, err) == (4, "", "error: out of memory\n")
 
     def test_overflow_check_survives_optimised_python(self, tmp_path):
         # Assertions vanish under -O; the overflow check must not.

@@ -10,15 +10,18 @@ from credalmc import (
     IntervalRow,
     StateSpace,
     VertexRow,
-    expectation,
-    feasible,
-    interval_witness,
-    is_pmf,
     row_contains,
     validate_model,
 )
 from credalmc.core import EPS_PROB
-from helpers import e1_model, random_model, random_pmf
+from helpers import (
+    e1_model,
+    expectation,
+    interval_witness,
+    is_pmf,
+    random_model,
+    random_pmf,
+)
 
 rng = np.random.default_rng(1001)
 
@@ -122,7 +125,7 @@ class TestValidation:
                 elif isinstance(row, VertexRow):
                     assert all(is_pmf(v) for v in row.vertices)
                 else:
-                    assert feasible(row)
+                    assert row.feasible
 
 
 class TestExpectation:

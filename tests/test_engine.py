@@ -14,8 +14,6 @@ from credalmc import (
     VertexRow,
     conditional_bounds,
     infer,
-    iterate_lower,
-    iterate_upper,
     materialize_path_function,
     naive_conditional_bounds,
     spec_hitting_probability,
@@ -27,6 +25,8 @@ from credalmc.engine import recursion_step
 from helpers import (
     E1_SPACE,
     e1_model,
+    iterate_lower,
+    iterate_upper,
     random_gamble,
     random_model,
     random_spec,

@@ -11,7 +11,6 @@ from credalmc import (
     VertexRow,
     conditional_bounds,
     infer,
-    iterate_upper,
     limit_infer,
     materialize_path_function,
     naive_conditional_bounds,
@@ -24,7 +23,7 @@ from credalmc import (
 )
 from credalmc import lp
 from credalmc.inferences import HITTING_FAMILIES
-from helpers import E1_SPACE, e1_model, random_gamble, random_model
+from helpers import E1_SPACE, e1_model, iterate_upper, random_gamble, random_model
 
 rng = np.random.default_rng(5005)
 

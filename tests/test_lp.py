@@ -15,10 +15,6 @@ from credalmc import (
     NumericalError,
     StateSpace,
     VertexRow,
-    expectation,
-    feasible,
-    interval_witness,
-    is_pmf,
     maximize,
     minimize,
     row_contains,
@@ -27,7 +23,10 @@ from credalmc import (
 from credalmc import lp
 from credalmc.core import EPS_FEAS, EPS_PROB
 from helpers import (
+    expectation,
     interval_to_constraints,
+    interval_witness,
+    is_pmf,
     random_constraint_row,
     random_interval_bounds,
     random_interval_row,
@@ -145,7 +144,7 @@ class TestSimplexEdgeCases:
     @pytest.mark.parametrize("scale", SCALES)
     def test_scaled_infeasible_row_is_rejected(self, scale):
         row = ConstraintRow(a=[[scale, scale]], b=[-2.0 * scale])  # p0 + p1 <= -2
-        assert not feasible(row)
+        assert not row.feasible
         space = StateSpace(("s0", "s1"))
         model = ImpreciseMarkovChain(states=space, initial=row, rows=(row, row))
         assert "initial set: constraint system admits no pmf" in validate_model(model)
@@ -158,7 +157,7 @@ class TestSimplexEdgeCases:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             row = ConstraintRow(a=self.SUBNORMAL, b=[1.0])
-            assert feasible(row)
+            assert row.feasible
             assert maximize(row, [1.0, 0.0]).value == 1.0
             assert minimize(row, [1.0, 0.0]).value == 0.0
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
@@ -193,24 +192,24 @@ class TestMinimize:
 
 class TestFeasible:
     def test_interval_overfull_lower(self):
-        assert not feasible(IntervalRow(lower=[0.6, 0.6], upper=[0.7, 0.7]))
+        assert not IntervalRow(lower=[0.6, 0.6], upper=[0.7, 0.7]).feasible
 
     def test_interval_underfull_upper(self):
-        assert not feasible(IntervalRow(lower=[0.0, 0.0], upper=[0.3, 0.3]))
+        assert not IntervalRow(lower=[0.0, 0.0], upper=[0.3, 0.3]).feasible
 
     def test_vertex_singleton(self):
-        assert feasible(VertexRow(vertices=[[0.5, 0.5]]))
+        assert VertexRow(vertices=[[0.5, 0.5]]).feasible
 
     def test_contradictory_constraints(self):
         row = ConstraintRow(a=[[1.0, 0.0], [-1.0, 0.0]], b=[0.2, -0.5])
-        assert not feasible(row)
+        assert not row.feasible
         with pytest.raises(InfeasibleRowError):
             maximize(row, [1.0, 0.0])
 
     def test_constraint_rows_from_intervals_are_feasible(self):
         for _ in range(20):
             d = int(rng.integers(2, 5))
-            assert feasible(random_constraint_row(rng, d))
+            assert random_constraint_row(rng, d).feasible
 
     @given(data=st.data())
     def test_vertex_row_is_feasible_iff_every_vertex_is_a_pmf(self, data):
@@ -227,17 +226,17 @@ class TestFeasible:
             lambda pair: [pair[0][0] + pair[1], *pair[0][1:]])
         vertex = st.one_of(pmf, shifted, st.lists(entry, min_size=d, max_size=d))
         vertices = data.draw(st.lists(vertex, min_size=1, max_size=4))
-        assert feasible(VertexRow(vertices)) == all(is_pmf(v) for v in vertices)
+        assert VertexRow(vertices).feasible == all(is_pmf(v) for v in vertices)
 
     def test_sums_beyond_float_range_warn_nothing(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert feasible(IntervalRow([0, 0], [1e308, 1e308])) is True
-            assert feasible(VertexRow([[1e308, 1e308]])) is False
+            assert IntervalRow([0, 0], [1e308, 1e308]).feasible is True
+            assert VertexRow([[1e308, 1e308]]).feasible is False
 
     def test_interval_flag_is_the_emptiness_rule(self):
-        # The reference is the rule ``feasible`` evaluated on every call
-        # before each row kept its flag.  Entries sit on each threshold, a
+        # The reference is the emptiness rule, evaluated anew on the row's
+        # bounds.  Entries sit on each threshold, a
         # hair either side of it, and at +-1e308, whose sums overflow to inf
         # or, over 32 states, meet both infinities and give NaN.
         def reference(row):
@@ -267,7 +266,7 @@ class TestFeasible:
             flags = []
             for lo, up, row in zip(lower, upper, IntervalRow.stack(lower, upper)):
                 alone = IntervalRow(lo, up)
-                assert feasible(row) is row.feasible is alone.feasible
+                assert row.feasible is alone.feasible
                 assert row.feasible is reference(alone)
                 flags.append(row.feasible)
             assert {True, False} <= set(flags)
@@ -288,15 +287,11 @@ class TestFeasible:
             assert rows[-1].feasible is _reference_feasible(a, rows[-1].b)
             assert rows[-1].feasible is (rows[-1].simplex_start is not None)
         for row in rows:
-            assert feasible(row) is row.feasible is (not row.violations)
+            assert row.feasible is (not row.violations)
         assert {True, False} == {row.feasible for row in rows if
                                  isinstance(row, ConstraintRow)}
         assert {True, False} == {row.feasible for row in rows if
                                  isinstance(row, VertexRow)}
-
-    def test_unsupported_row_type_raises_type_error(self):
-        with pytest.raises(TypeError, match="^unsupported credal row type object$"):
-            feasible(object())
 
 
 class TestProperties:
@@ -496,7 +491,7 @@ def _assert_matches_reference_simplex(a, b, c):
         assert _outcome(lambda: via(maximize, 1.0)) == _outcome(
             lambda: reference_simplex_max(c, a, b)
         )
-        assert feasible(row) == _reference_feasible(a, b)
+        assert row.feasible == _reference_feasible(a, b)
         assert _outcome(lambda: via(minimize, -1.0)) == _outcome(
             lambda: reference_simplex_max(-c, a, b)
         )
@@ -569,7 +564,7 @@ class TestConstraintSimplexMatchesReference:
         )
         rows = [random_constraint_row(np.random.default_rng(s), 4) for s in range(3)]
         for row in rows:
-            assert feasible(row)
+            assert row.feasible
         start = [row.simplex_start for row in rows]
         for k in range(20):
             c = np.random.default_rng(k).normal(size=4)
@@ -587,7 +582,7 @@ class TestConstraintSimplexMatchesReference:
         )
         row = ConstraintRow(a=[[1.0, 0.0], [-1.0, 0.0]], b=[0.2, -0.5])
         for _ in range(3):
-            assert not feasible(row)
+            assert not row.feasible
             for optimise in (maximize, minimize):
                 with pytest.raises(InfeasibleRowError, match="admits no pmf"):
                     optimise(row, [1.0, 0.0])

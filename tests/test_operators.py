@@ -9,8 +9,6 @@ from credalmc import (
     RecursiveSpec,
     extended_lower,
     extended_upper,
-    iterate_lower,
-    iterate_upper,
     lower_transition,
     materialize_path_function,
     maximize,
@@ -23,6 +21,8 @@ from helpers import (
     E1_ROW_S0,
     e1_model,
     endpoint_bruteforce_two_step_upper,
+    iterate_lower,
+    iterate_upper,
     random_gamble,
     random_model,
     singleton_model,

@@ -1,9 +1,12 @@
-"""The README's library quickstart runs and prints what it says it prints."""
+"""The README's library quickstart runs and prints what it says it prints,
+and its API section names every export of the package."""
 
 import re
 from pathlib import Path
 
 import numpy as np
+
+import credalmc
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -27,3 +30,12 @@ def test_quickstart_values():
             atol=1e-12,
             err_msg=expression,
         )
+
+
+def test_library_api_lists_every_export():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library API", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"`([^`]+)`", section)) == set(credalmc.__all__)
+    # Each export has a line of its own, and only one.
+    listed = re.findall(r"^- `(\w+)`:", section, re.MULTILINE)
+    assert sorted(listed) == sorted(credalmc.__all__)
