@@ -421,6 +421,8 @@ def _load_json(path: str, kind: str):
         raise DocumentError(f"cannot read {kind} file {path}: {exc}") from exc
     except ValueError as exc:  # also an integer over Python's digit limit
         raise DocumentError(f"{kind} file {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError(f"{kind} file {path} is nested too deeply: {exc}") from exc
 
 
 def _load_model(path: str) -> ImpreciseMarkovChain:

@@ -17,10 +17,29 @@ breaks in ``violations``, which ``validate_model`` reads, and whether it holds
 a pmf in ``feasible``.  A sum that leaves float range is inf there, or NaN
 when it meets both infinities, without a warning; every comparison that
 reads it is still exact.
+
+Each row kind also owns its linear optimisation, ``_maximize(obj,
+minimise)``, which ``lp.maximize`` and ``lp.minimize`` call: it maximises
+``obj.target(minimise)`` over the row, where ``obj`` is an ``lp.Objective``,
+and returns ``(value, maximizer, iterations)``.  Interval rows use the exact
+sorting solution, a vectorised greedy pour of the slack in the objective's
+stable order; vertex rows use direct enumeration; constraint rows run a dense
+two-phase simplex restricted to the probability simplex.  The simplex lives
+here, next to ``ConstraintRow``, which solves phase 1 once when it is built
+and keeps its start; each call runs phase 2 on a copy of that start, in plain
+Python floats (the tableaux are too small for numpy's per-operation overhead
+to pay off).  The simplex enters the column with the most negative reduced
+cost (Dantzig's rule) and falls back to Bland's smallest-index rule right
+after a degenerate pivot, which excludes cycling with fewer pivots than
+Bland's rule alone.  The pivot path fixes the last bits of a result: Bland's
+rule alone reaches the same optimum with values that differ by a few ulps.
+All three solutions are deterministic: identical inputs produce bit-identical
+output.  This module imports nothing from the rest of the package.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
@@ -30,6 +49,8 @@ import numpy as np
 EPS_PROB = 1e-9
 # Tolerance for membership tests of optimiser output in a credal row.
 EPS_FEAS = 1e-8
+# Entries smaller than this are treated as zero when selecting simplex pivots.
+PIVOT_TOL = 1e-9
 
 
 class CapExceededError(RuntimeError):
@@ -197,20 +218,22 @@ class IntervalRow:
     def dim(self) -> int:
         return self.lower.size
 
-    def pour(self, order: np.ndarray, gather: np.ndarray) -> tuple[np.ndarray, int]:
-        """Greedy pmf: start at the lower bounds, then pour the slack into the
-        states in ``order``, each up to its upper bound.  ``gather`` is
-        ``[0, *(order + 1)]``, which picks the slack and then the headroom
-        of each state in ``order`` out of ``supply``.
+    def _maximize(self, obj, minimise: bool) -> tuple:
+        """The exact sorting solution: start at the lower bounds, then pour
+        the slack into the states in decreasing objective order, each up to
+        its upper bound (see ``Objective.order``; the row's ``supply``
+        gathered in that order is the slack, then each state's headroom).
 
-        Returns the pmf and the number of states that took mass; raises
-        ``InfeasibleRowError`` when the upper bounds cannot hold the slack.
-        The running slack is subtracted in ``order``, one state at a time,
+        The running slack is subtracted in order, one state at a time,
         exactly as a sequential loop would, so the result matches that loop
         bit for bit.  Once the running slack is spent it is at most 0, and so
         is every later ``add``, so no clip at 0 is needed.  Only states that
-        take mass are written, which keeps a lower bound of -0.0 as it is.
+        take mass are written, which keeps a lower bound of -0.0 as it is;
+        the iteration count is the number of states that took mass.
         """
+        if self.empty:
+            raise InfeasibleRowError("interval row is empty")
+        order, gather = obj.order(minimise)
         seq = self.supply[gather]
         left = np.subtract.accumulate(seq)
         if left[-1] > EPS_FEAS:
@@ -220,7 +243,7 @@ class IntervalRow:
         states = order[take]
         p = self.lower.copy()
         p[states] += add[take]
-        return p, states.size
+        return float(obj.target(minimise).dot(p)), p, states.size
 
 
 def _vertex_fields(block: np.ndarray, counts):
@@ -294,6 +317,17 @@ class VertexRow:
     def dim(self) -> int:
         return self.vertices.shape[1]
 
+    def _maximize(self, obj, minimise: bool) -> tuple:
+        """Direct enumeration: the best listed vertex, ties to the lowest
+        list index."""
+        vertices = self.vertices
+        # ``ndarray.dot`` has less call overhead than ``@`` and gives the same
+        # bits for a 2-D by 1-D product.
+        values = vertices.dot(obj.target(minimise))
+        best = values.argmax()
+        # ``vertices`` is frozen, so the chosen row is handed out as a view.
+        return float(values[best]), vertices[best], 0
+
 
 @dataclass(frozen=True)
 class ConstraintRow:
@@ -336,9 +370,8 @@ class ConstraintRow:
         # simplex |scaled_a @ p| <= 1, so +inf always holds and -inf never.
         with np.errstate(over="ignore"):
             object.__setattr__(self, "scaled_b", _freeze(b / norms))
-        from . import lp  # here, as lp imports this module
         try:
-            start, violations = lp._solve_phase_one(self), ()
+            start, violations = _solve_phase_one(self), ()
         except InfeasibleRowError as exc:
             start, violations = None, (str(exc),)
         object.__setattr__(self, "simplex_start", start)
@@ -348,6 +381,171 @@ class ConstraintRow:
     @property
     def dim(self) -> int:
         return self.a.shape[1]
+
+    def _maximize(self, obj, minimise: bool) -> tuple:
+        """Phase 2 of the simplex for max c @ p over the row's scaled
+        inequalities, where ``c`` is ``obj.target(minimise)``: it minimises
+        ``-c``, that is ``obj.target(not minimise)``, from a copy of the kept
+        phase-1 start, and counts its own pivots only.  A row without a start
+        raises ``InfeasibleRowError``.  The feasible set lies in the
+        probability simplex, so an unbounded ray is a numeric breakdown,
+        which ``_run_phase`` raises as ``NumericalError``.
+        """
+        if self.simplex_start is None:
+            raise InfeasibleRowError("constraint system admits no pmf")
+        start, basis = self.simplex_start
+        d = self.dim
+        costs = obj.target(not minimise).tolist()
+        tableau = list(start)
+        basis = list(basis)
+        tableau.append(
+            _reduced_costs(tableau, [costs[k] if k < d else 0.0 for k in basis], costs)
+        )
+        iterations = _run_phase(tableau, basis)
+        p = np.zeros(d)
+        for i, k in enumerate(basis):
+            if k < d:
+                p[k] = tableau[i][-1]
+        return float(obj.target(minimise).dot(p)), p, iterations
+
+
+def _solve_phase_one(row: ConstraintRow):
+    """Phase 1 of the simplex on a row: ``(tableau, basis)``, the start that
+    ``ConstraintRow`` keeps.
+
+    The tableau has one row per scaled inequality (negated where its bound
+    is negative) plus the ``sum(p) = 1`` row, over the structural and slack
+    columns and the right-hand side.  Rows whose slack cannot start in the
+    basis get an artificial variable; phase 1 minimises their sum, then the
+    leftover artificials are driven out where a structural pivot exists (a
+    row with none is redundant and stays inert at level 0).  The artificial
+    columns are not stored: no pivot choice or structural entry reads them,
+    and a basic artificial keeps its column index ``d + m + j``.  Rows are
+    tuples, so the start cannot be written to once it is kept.
+
+    Raises ``InfeasibleRowError`` when no pmf satisfies the row.
+    """
+    m, d = row.scaled_a.shape
+    n_cols = d + m
+    tableau = []
+    basis = []
+    artificial = []
+    inequalities = zip(row.scaled_a.tolist(), row.scaled_b.tolist())
+    for i, (arow, bi) in enumerate(inequalities):
+        slack = [0.0] * m
+        if bi < 0.0:
+            # Negate so the right-hand side is nonnegative; the slack then
+            # enters with coefficient -1 and cannot start in the basis.
+            slack[i] = -1.0
+            tableau.append([-x for x in arow] + slack + [-bi])
+            artificial.append(i)
+        else:
+            slack[i] = 1.0
+            tableau.append(arow + slack + [bi])
+        basis.append(d + i)
+    tableau.append([1.0] * d + [0.0] * m + [1.0])
+    basis.append(-1)
+    artificial.append(m)
+    for j, i in enumerate(artificial):
+        basis[i] = n_cols + j
+
+    tableau.append(
+        _reduced_costs(tableau, [1.0 if k >= n_cols else 0.0 for k in basis], [])
+    )
+    _run_phase(tableau, basis)
+    if -tableau.pop()[-1] > EPS_FEAS:
+        raise InfeasibleRowError("constraint system admits no pmf")
+    for i in range(m + 1):
+        if basis[i] >= n_cols:
+            for j in range(n_cols):
+                if abs(tableau[i][j]) > PIVOT_TOL:
+                    _pivot(tableau, i, j)
+                    basis[i] = j
+                    break
+
+    return tuple(map(tuple, tableau)), tuple(basis)
+
+
+def _reduced_costs(tableau: list, basic_costs: list, costs: list) -> list:
+    """Reduced-cost row for minimising ``costs @ x`` (zero past the end of
+    ``costs``), given the cost of each row's basic variable."""
+    obj = costs + [0.0] * (len(tableau[0]) - len(costs))
+    for trow, cb in zip(tableau, basic_costs):
+        if cb != 0.0:
+            obj = [o - cb * x for o, x in zip(obj, trow)]
+    return obj
+
+
+def _run_phase(tableau: list, basis: list) -> int:
+    """Pivot until no reduced cost is below ``-PIVOT_TOL``; returns the pivot
+    count.
+
+    ``tableau[-1]`` is the reduced-cost row; the others are the constraint
+    rows, whose basic variables are listed in ``basis``.  Entering
+    candidates are the structural and slack columns.  The entering column is
+    the one with the most negative reduced cost, lowest index on ties
+    (Dantzig's rule), except right after a degenerate pivot (ratio at most
+    ``PIVOT_TOL``), when it is the first column below ``-PIVOT_TOL``
+    (Bland's rule).  The leaving row is always chosen by the minimum ratio,
+    ties to the lowest basic index, as Bland's rule asks.
+
+    This cannot cycle.  A pivot that is not degenerate lowers the objective,
+    so a basis can only recur through degenerate pivots alone.  In such a
+    cycle every pivot follows a degenerate pivot, so every pivot is chosen
+    by Bland's rule, and Bland's rule never cycles (Bland 1977).
+    """
+    n_rows = len(basis)
+    n_cols = len(tableau[0]) - 1
+    pivots = 0
+    degenerate = False
+    while True:
+        obj = tableau[-1]
+        enter = -1
+        least = -PIVOT_TOL
+        for j in range(n_cols):
+            if obj[j] < least:
+                enter = j
+                if degenerate:
+                    break
+                least = obj[j]
+        if enter < 0:
+            return pivots
+        leave = -1
+        best_ratio = math.inf
+        for i in range(n_rows):
+            coef = tableau[i][enter]
+            if coef > PIVOT_TOL:
+                ratio = tableau[i][-1] / coef
+                if ratio < best_ratio - PIVOT_TOL or (
+                    abs(ratio - best_ratio) <= PIVOT_TOL
+                    and (leave < 0 or basis[i] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave < 0:
+            raise NumericalError(
+                "unbounded direction in a simplex-constrained program"
+            )
+        _pivot(tableau, leave, enter)
+        basis[leave] = enter
+        pivots += 1
+        degenerate = best_ratio <= PIVOT_TOL
+
+
+def _pivot(tableau: list, r: int, j: int) -> None:
+    """Scale row ``r`` so that its entry in column ``j`` is 1, and eliminate
+    column ``j`` from every other row that has a nonzero entry there.
+
+    Rows are replaced by new lists, never written in place, so a tableau
+    that shares its rows with the kept phase-1 start leaves it unchanged.
+    """
+    pivot_value = tableau[r][j]
+    pivot_row = [x / pivot_value for x in tableau[r]]
+    tableau[r] = pivot_row
+    for i, trow in enumerate(tableau):
+        factor = trow[j]
+        if i != r and factor != 0.0:
+            tableau[i] = [x - factor * y for x, y in zip(trow, pivot_row)]
 
 
 CredalRow = Union[IntervalRow, VertexRow, ConstraintRow]

@@ -25,7 +25,9 @@ from .core import ImpreciseMarkovChain, NumericalError, as_vector
 from .lp import LpCounter, Objective, maximize, minimize
 from .operators import lower_transition, upper_transition
 
-# Slack allowed before the computed bounds are declared inconsistent.
+# Slack allowed before the computed bounds are declared inconsistent,
+# relative to the larger of 1 and the bounds' magnitude: the two tracks round
+# differently, by errors that grow with the bounds and the horizon.
 SANDWICH_TOL = 1e-10
 
 
@@ -68,11 +70,14 @@ class BoundsResult:
     lp_calls: int
 
     def __post_init__(self):
-        if self.lower > self.upper + SANDWICH_TOL:
+        scale = max(1.0, abs(self.upper), abs(self.lower))
+        if self.lower > self.upper + SANDWICH_TOL * scale:
             raise NumericalError(
                 f"lower bound {self.lower} exceeds upper bound {self.upper}"
             )
-        if np.any(self.lower_conditional > self.upper_conditional + SANDWICH_TOL):
+        upper, lower = self.upper_conditional, self.lower_conditional
+        scale = np.maximum(1.0, np.maximum(np.abs(upper), np.abs(lower)))
+        if np.any(lower > upper + SANDWICH_TOL * scale):
             raise NumericalError("conditional lower bound exceeds upper bound")
 
 

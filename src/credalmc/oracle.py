@@ -49,8 +49,9 @@ def materialize_path_function(spec: RecursiveSpec) -> np.ndarray:
     suffix histories, the new value on (x, suffix) is h_k(x) * t(suffix)
     + g_k(x).  This is the definition the engine never expands; the result
     is an array of shape ``(d,)*horizon``.  Raises ``CapExceededError``
-    before allocating if d**horizon exceeds ``HISTORY_CAP``, and
-    ``NumericalError`` if a value is not finite.
+    before allocating if d**horizon exceeds ``HISTORY_CAP``, or if the
+    horizon exceeds numpy's dimension limit, and ``NumericalError`` if a
+    value is not finite.
     """
     d, n = spec.dim, spec.horizon
     if d**n > HISTORY_CAP:
@@ -63,7 +64,12 @@ def materialize_path_function(spec: RecursiveSpec) -> np.ndarray:
             values = (h[:, None] * values[None, :] + g[:, None]).ravel()
     if not np.isfinite(values).all():
         raise NumericalError("materialised history values contain non-finite entries")
-    return values.reshape((d,) * n)
+    try:
+        return values.reshape((d,) * n)
+    except ValueError:  # n is beyond the number of dimensions numpy allows
+        raise CapExceededError(
+            f"history of horizon {n} has more dimensions than numpy allows"
+        ) from None
 
 
 def _check_history(model: ImpreciseMarkovChain, hist: np.ndarray) -> None:

@@ -17,10 +17,10 @@ from credalmc import (
     RecursiveSpec,
     StateSpace,
     VertexRow,
+    maximize,
     upper_transition,
 )
-from credalmc.core import EPS_FEAS, EPS_PROB, NumericalError, as_vector
-from credalmc.lp import PIVOT_TOL
+from credalmc.core import EPS_FEAS, EPS_PROB, PIVOT_TOL, NumericalError, as_vector
 
 # The two-state worked model used throughout: out of s0 the chance of moving
 # to s1 lies in [0.1, 0.3]; out of s1 the chance of moving to s0 lies in
@@ -66,8 +66,10 @@ def is_pmf(p) -> bool:
 
 def interval_witness(row: IntervalRow) -> np.ndarray:
     """Greedy feasible pmf of an interval row: start at the lower bounds and
-    fill the remaining mass in state order, capped by the upper bounds."""
-    return row.pour(np.arange(row.dim), np.arange(row.dim + 1))[0]
+    fill the remaining mass in state order, capped by the upper bounds.  This
+    is the maximiser of the zero objective, whose stable order is state
+    order."""
+    return maximize(row, np.zeros(row.dim)).maximizer
 
 
 def iterate_upper(model: ImpreciseMarkovChain, f, k: int) -> np.ndarray:
@@ -238,8 +240,9 @@ def reference_pour(row: IntervalRow, order):
     remaining mass into the states in ``order``, one at a time, each up to its
     upper bound.  Returns the pmf and the number of states that took mass.
 
-    This is the scalar loop the vectorised ``IntervalRow.pour`` replaced; it
-    reads only ``lower`` and ``upper``, none of the cached row invariants.
+    This is the scalar loop the vectorised ``IntervalRow._maximize``
+    replaced; it reads only ``lower`` and ``upper``, none of the cached row
+    invariants.
     """
     p = np.array(row.lower, copy=True)
     remaining = 1.0 - float(p.sum())
@@ -277,16 +280,16 @@ def reference_simplex_max(c, a_ub, b_ub):
     """Reference constraint-row maximum: (value, maximizer, iterations) of a
     dense two-phase simplex on numpy rows for: max c @ p  s.t.
     a_ub @ p <= b_ub, sum(p) = 1, p >= 0.  ``iterations`` counts the
-    phase-2 pivots, as ``lp`` does.
+    phase-2 pivots, as ``maximize`` does.
 
-    This is the solver ``lp`` used before phase 1 was kept per row: it
+    This is the solver ``maximize`` used before phase 1 was kept per row: it
     scales the row, builds the full tableau (artificial columns included)
     and solves both phases on every call.
 
     Enters by Dantzig's rule (most negative reduced cost, lowest index on
     ties), or by Bland's smallest-index rule right after a degenerate pivot,
     and leaves by the minimum ratio with ties to the smallest basic index,
-    as ``lp._run_phase`` does.  This excludes cycling and fixes the pivot
+    as ``core._run_phase`` does.  This excludes cycling and fixes the pivot
     sequence, so the solver is fully deterministic.  The feasible set is a
     subset of the probability simplex, hence bounded; an unbounded ray
     indicates a numeric breakdown and raises ``NumericalError``.

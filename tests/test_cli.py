@@ -131,6 +131,21 @@ class TestValidateCommand:
         assert code == 2
         assert "not valid JSON" in err
 
+    @pytest.mark.parametrize("command, position", [
+        ("validate", 0), ("infer", 0), ("infer", 1), ("check", 0), ("check", 1),
+    ])
+    def test_deeply_nested_document(self, tmp_path, capsys, command, position):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        paths = [MODEL, str(DATA / "query_hitting_prob_n3.json")]
+        paths = paths[:1] if command == "validate" else paths
+        paths[position] = str(deep)
+        code, out, err = run(capsys, command, *paths)
+        kind = ("model", "query")[position]
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {kind} file {deep} is nested too deeply")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("digits", [400, 5000])
     def test_integer_beyond_float_range(self, tmp_path, capsys, digits):
         # 400 digits overflow a float; 5000 exceed Python's int-to-str limit.
@@ -562,6 +577,21 @@ class TestCheckCommand:
         )
         assert code == 0
         assert json.loads(out)["max_discrepancy"] == 0.0
+
+    def test_history_beyond_numpy_dimensions_exceeds_the_cap(self, tmp_path, capsys):
+        # 1**70 entries are far under the cap, but 70 dimensions are more
+        # than numpy allows (64 since numpy 2, 32 before).
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "states": ["a"],
+            "rows": {"a": {"vertices": [[1.0]]}},
+            "initial": {"vertices": [[1.0]]},
+        }))
+        q = tmp_path / "query.json"
+        q.write_text(json.dumps({"kind": "hitting_probability", "A": ["a"], "n": 70}))
+        code, out, err = run(capsys, "check", str(model), str(q))
+        message = "history of horizon 70 has more dimensions than numpy allows"
+        assert (code, out, err) == (4, "", f"error: {message}\n")
 
     def test_limit_query_rejected(self, capsys):
         code, _, err = run(

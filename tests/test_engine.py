@@ -17,11 +17,13 @@ from credalmc import (
     materialize_path_function,
     naive_conditional_bounds,
     spec_hitting_probability,
+    spec_single_instant,
+    spec_time_average,
     unconditional_bounds,
     validate_model,
 )
 from credalmc import lp
-from credalmc.engine import recursion_step
+from credalmc.engine import SANDWICH_TOL, recursion_step
 from helpers import (
     E1_SPACE,
     e1_model,
@@ -287,5 +289,53 @@ class TestInfer:
                 lower_conditional=np.array([0.0]),
                 upper=0.0,
                 lower=1.0,
+                lp_calls=0,
+            )
+
+
+def precise_interval_model():
+    """Two states whose rows and initial set are all the intervals
+    [0.1, 0.2] x [0.1, 0.8], which hold the one pmf (0.2, 0.8)."""
+    row = IntervalRow(lower=[0.1, 0.1], upper=[0.2, 0.8])
+    return ImpreciseMarkovChain(
+        states=StateSpace(("a", "b")), initial=row, rows=(row, row)
+    )
+
+
+class TestSandwichTolerance:
+    """The lower bound may exceed the upper one by rounding alone, which
+    grows with the size of the bounds and with the horizon."""
+
+    def test_long_horizon_on_a_precise_chain(self):
+        spec, scale = spec_time_average([1.0, 2.0], 10_000)
+        result = infer(precise_interval_model(), spec)
+        assert scale * result.upper == pytest.approx(1.8, abs=1e-11)
+        assert scale * result.lower == pytest.approx(1.8, abs=1e-11)
+
+    def test_large_gamble_on_a_precise_chain(self):
+        spec = spec_single_instant([1e12, 1e12 + 0.125], 2)
+        result = infer(precise_interval_model(), spec)
+        assert result.lower_conditional == pytest.approx(
+            result.upper_conditional, rel=1e-15
+        )
+        assert result.lower == pytest.approx(result.upper, rel=1e-15)
+
+    @pytest.mark.parametrize("size", [0.0, 1.0, 1e12, -1e12])
+    def test_a_crossing_beyond_the_relative_tolerance_raises(self, size):
+        crossed = size + 2.0 * SANDWICH_TOL * max(1.0, abs(size))
+        with pytest.raises(NumericalError, match="^lower bound"):
+            BoundsResult(
+                upper_conditional=np.array([size]),
+                lower_conditional=np.array([size]),
+                upper=size,
+                lower=crossed,
+                lp_calls=0,
+            )
+        with pytest.raises(NumericalError, match="^conditional lower bound"):
+            BoundsResult(
+                upper_conditional=np.array([0.0, size]),
+                lower_conditional=np.array([0.0, crossed]),
+                upper=size,
+                lower=size,
                 lp_calls=0,
             )

@@ -1,6 +1,8 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+the modules do not import each other in a cycle."""
 
 import ast
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -47,3 +49,49 @@ def test_an_unused_import_is_found():
         "    return EPS_FEAS + os.sep\n"
     )
     assert unused_imports(source) == ["math", "EPS_PROB", "_solve"]
+
+
+def package_imports(path: Path) -> set[str]:
+    """The package modules that the module at ``path`` imports, at any
+    depth, by relative or absolute import; ``__init__`` stands for the
+    package itself."""
+    modules = {p.stem for p in PACKAGE.glob("*.py")}
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ("credalmc." if node.level else "") + (node.module or "")
+            # ``from . import lp`` imports the module lp.
+            targets = [f"{module.rstrip('.')}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for target in targets:
+            top, _, rest = target.partition(".")
+            if top == "credalmc":
+                name = rest.split(".")[0]
+                out.add(name if name in modules else "__init__")
+    return out
+
+
+def test_package_modules_import_no_cycle():
+    graph = {p.stem: package_imports(p) for p in PACKAGE.glob("*.py")}
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+    assert graph["core"] == set()
+
+
+def test_imports_are_read_at_any_depth(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "from .core import EPS_FEAS\n"
+        "import credalmc.oracle\n"
+        "from credalmc import maximize\n"
+        "def f():\n"
+        "    from . import lp\n"
+    )
+    assert package_imports(module) == {"core", "oracle", "__init__", "lp"}

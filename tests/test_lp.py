@@ -20,7 +20,7 @@ from credalmc import (
     row_contains,
     validate_model,
 )
-from credalmc import lp
+from credalmc import core, lp
 from credalmc.core import EPS_FEAS, EPS_PROB
 from helpers import (
     expectation,
@@ -33,7 +33,6 @@ from helpers import (
     random_row,
     random_vertex_row,
     reference_interval_maximize,
-    reference_pour,
     reference_simplex_max,
     sample_in_row,
 )
@@ -380,7 +379,7 @@ def _assert_matches_reference_greedy(lower, upper, c):
         lambda: reference_interval_maximize(row, -c)
     )
     assert _outcome(lambda: [interval_witness(row)]) == _outcome(
-        lambda: reference_pour(row, range(row.dim))[:1]
+        lambda: reference_interval_maximize(row, np.zeros(row.dim))[1:2]
     )
 
 
@@ -558,9 +557,9 @@ class TestConstraintSimplexMatchesReference:
 
     def test_phase_one_is_solved_once_per_row(self, monkeypatch):
         solves = []
-        solve = lp._solve_phase_one
+        solve = core._solve_phase_one
         monkeypatch.setattr(
-            lp, "_solve_phase_one", lambda row: solves.append(row) or solve(row)
+            core, "_solve_phase_one", lambda row: solves.append(row) or solve(row)
         )
         rows = [random_constraint_row(np.random.default_rng(s), 4) for s in range(3)]
         for row in rows:
@@ -576,9 +575,9 @@ class TestConstraintSimplexMatchesReference:
 
     def test_infeasible_row_raises_on_every_call(self, monkeypatch):
         solves = []
-        solve = lp._solve_phase_one
+        solve = core._solve_phase_one
         monkeypatch.setattr(
-            lp, "_solve_phase_one", lambda row: solves.append(row) or solve(row)
+            core, "_solve_phase_one", lambda row: solves.append(row) or solve(row)
         )
         row = ConstraintRow(a=[[1.0, 0.0], [-1.0, 0.0]], b=[0.2, -0.5])
         for _ in range(3):
