@@ -56,7 +56,7 @@ def lower_transition(
 
 
 def _contract(
-    model: ImpreciseMarkovChain, hist: np.ndarray, optimise, counter
+    model: ImpreciseMarkovChain, hist: np.ndarray, minimise: bool, counter
 ) -> np.ndarray:
     d = model.size
     if hist.ndim < 2 or hist.shape != (d,) * hist.ndim:
@@ -66,8 +66,13 @@ def _contract(
     blocks = np.asarray(hist.reshape(-1, d), dtype=float)
     if not np.isfinite(blocks).all():
         raise ValueError("objective contains non-finite entries")
-    # A generator, so that only the block in hand keeps its cached orders.
-    objectives = (Objective(block) for block in blocks)
+    # Each block is its own objective, so its negation and sort are done in
+    # bulk, a chunk of blocks at a time: the set-up kept for a chunk is about
+    # three times the chunk, and a whole history would need three times the
+    # history.  Each block still costs one ``maximize`` or ``minimize`` call,
+    # looked up here so that a wrapper set on this module sees every block.
+    objectives = Objective.blocks(blocks, minimise)
+    optimise = minimize if minimise else maximize
     out = _optimise_blocks(model, objectives, optimise, counter)
     return out.reshape(hist.shape[:-1])
 
@@ -81,11 +86,11 @@ def extended_upper(
     last-coordinate slice, taken in the row of the prefix's final state.
     In C order those slices are the rows of ``hist.reshape(-1, d)``.
     """
-    return _contract(model, hist, maximize, counter)
+    return _contract(model, hist, False, counter)
 
 
 def extended_lower(
     model: ImpreciseMarkovChain, hist: np.ndarray, counter: LpCounter | None = None
 ) -> np.ndarray:
     """Conjugate of ``extended_upper`` on history arrays."""
-    return _contract(model, hist, minimize, counter)
+    return _contract(model, hist, True, counter)

@@ -160,6 +160,13 @@ def random_constraint_row(rng, d):
     return ConstraintRow(a=a, b=b)
 
 
+def small_constraint_row(rng, d):
+    """Two halfspaces with the uniform pmf strictly inside: a small tableau,
+    so a simplex call stays cheap at large d."""
+    a = rng.normal(size=(2, d))
+    return ConstraintRow(a=a, b=a @ np.full(d, 1.0 / d) + 0.05)
+
+
 ROW_KINDS = ("intervals", "vertices", "constraints")
 
 

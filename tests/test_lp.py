@@ -35,6 +35,7 @@ from helpers import (
     reference_interval_maximize,
     reference_simplex_max,
     sample_in_row,
+    small_constraint_row,
 )
 
 rng = np.random.default_rng(2002)
@@ -769,6 +770,72 @@ class TestSharedObjective:
         assert not shared.values.flags.writeable
         assert c.flags.writeable
         assert maximize(E1_ROW, shared).value == maximize(E1_ROW, c).value
+
+
+class TestChunkedObjectives:
+    """``Objective.blocks`` negates and sorts a chunk of blocks at a time;
+    each block's objective gives on every row kind, in the direction it was
+    prepared for, what a fresh ``Objective(block)`` gives, bit for bit, on
+    either side of every chunk boundary."""
+
+    # Few distinct entries, -0.0 beside 0.0 among them, so blocks have ties.
+    _POOL = np.array([-2.0, -1.0, -0.3, -0.0, 0.0, 0.5, 1.0, 1.7, 2.0])
+
+    @staticmethod
+    def _row(kind, gen, d):
+        if kind == "interval":
+            lower, upper = random_interval_bounds(gen, d)
+            lower[gen.random(d) < 0.3] = -0.0
+            return IntervalRow(lower=lower, upper=upper)
+        if kind == "vertex":
+            # Unit vectors and the uniform pmf, repeated: ties on every block.
+            pmfs = np.vstack([np.eye(d), np.full(d, 1.0 / d)])
+            return VertexRow(vertices=pmfs[gen.integers(0, d + 1, size=4)])
+        return small_constraint_row(gen, d)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(6, 64),
+        chunks=st.sampled_from(("1", "chunk", "chunk + 1", "3 chunks + 1")),
+        kind=st.sampled_from(("interval", "vertex", "constraint")),
+        minimise=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_fresh_objectives(self, d, chunks, kind, minimise, seed):
+        gen = np.random.default_rng(seed)
+        step = lp.CHUNK_ENTRIES // d
+        k = {
+            "1": 1,
+            "chunk": step,
+            "chunk + 1": step + 1,
+            "3 chunks + 1": 3 * step + 1,
+        }[chunks]
+        blocks = np.where(
+            gen.random((k, d)) < 0.7,
+            gen.choice(self._POOL, size=(k, d)),
+            gen.normal(size=(k, d)),
+        )
+        rows = [self._row(kind, gen, d) for _ in range(3)]
+        optimise = minimize if minimise else maximize
+
+        def via(objective, row):
+            res = optimise(row, objective)
+            return res.value, res.maximizer, res.iterations
+
+        prepared = list(lp.Objective.blocks(blocks, minimise))
+        assert len(prepared) == k
+        for i, (obj, block) in enumerate(zip(prepared, blocks)):
+            row = rows[i % 3]
+            assert _outcome(lambda: via(obj, row)) == _outcome(
+                lambda: via(lp.Objective(block.copy()), row)
+            )
+
+    def test_blocks_are_read_only_views(self):
+        blocks = np.arange(12.0).reshape(4, 3)
+        for obj, block in zip(lp.Objective.blocks(blocks, False), blocks):
+            assert np.shares_memory(obj.values, block)
+            assert not obj.values.flags.writeable
+        assert blocks.flags.writeable
 
 
 class TestVertexKernel:

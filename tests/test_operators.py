@@ -1,12 +1,16 @@
 import json
+import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from credalmc import (
+    ImpreciseMarkovChain,
     LpCounter,
     RecursiveSpec,
+    StateSpace,
     extended_lower,
     extended_upper,
     lower_transition,
@@ -15,7 +19,7 @@ from credalmc import (
     minimize,
     upper_transition,
 )
-from credalmc import lp
+from credalmc import lp, operators
 from credalmc.cli import parse_model
 from helpers import (
     E1_ROW_S0,
@@ -24,8 +28,11 @@ from helpers import (
     iterate_lower,
     iterate_upper,
     random_gamble,
+    random_interval_row,
     random_model,
+    random_vertex_row,
     singleton_model,
+    small_constraint_row,
 )
 
 rng = np.random.default_rng(3003)
@@ -286,3 +293,92 @@ class TestSortOnce:
         )
         assert np.array_equal(transition(model, f), expected)
         assert len(sorts) == 1
+
+    @pytest.mark.parametrize("extended", [extended_upper, extended_lower])
+    @pytest.mark.parametrize("d, n", [(3, 7), (50, 3)])
+    def test_contraction_sorts_once_per_chunk(self, monkeypatch, extended, d, n):
+        model = random_model(np.random.default_rng(5), d, kinds=("intervals",))
+        hist = np.random.default_rng(6).normal(size=(d,) * n)
+        expected = extended(model, hist)
+        sorts = []
+        argsort = np.argsort
+        monkeypatch.setattr(
+            np, "argsort", lambda *a, **k: sorts.append(1) or argsort(*a, **k)
+        )
+        assert np.array_equal(extended(model, hist), expected)
+        assert len(sorts) == math.ceil(d ** (n - 1) / (lp.CHUNK_ENTRIES // d))
+
+
+def _mixed_model(seed, d):
+    """Rows of all three kinds in turn, cheap enough for d**2 blocks."""
+    gen = np.random.default_rng(seed)
+    makers = (random_interval_row, random_vertex_row, small_constraint_row)
+    rows = tuple(makers[i % 3](gen, d) for i in range(d))
+    space = StateSpace(tuple(f"s{i}" for i in range(d)))
+    return ImpreciseMarkovChain(states=space, initial=rows[0], rows=rows)
+
+
+class TestChunkedContraction:
+    """The contraction prepares its blocks' objectives a chunk at a time (see
+    ``lp.Objective.blocks``); what a reader of the history array sees of
+    that is its results, its memory and its calls."""
+
+    @pytest.mark.parametrize(
+        "extended, optimise", [(extended_upper, maximize), (extended_lower, minimize)]
+    )
+    def test_matches_per_block_reference_loop(self, extended, optimise):
+        # d**2 = 1600 blocks in chunks of 102, the last one short.
+        d = 40
+        model = _mixed_model(11, d)
+        gen = np.random.default_rng(12)
+        hist = gen.normal(size=(d, d, d))
+        hist[gen.random(hist.shape) < 0.3] = 0.5
+        hist[gen.random(hist.shape) < 0.1] = -0.0
+        blocks = hist.reshape(-1, d)
+        reference = np.array(
+            [optimise(model.rows[i % d], b.copy()).value for i, b in enumerate(blocks)]
+        )
+        out = extended(model, hist)
+        assert out.tobytes() == reference.reshape(d, d).tobytes()
+
+    def test_peak_memory_below_the_history(self):
+        # The shape of the interval-wide benchmark's cross-check: d=50, n=3.
+        # Negation, orders and gathers of the whole history would take about
+        # three times its size; a chunk at a time takes a small fraction.
+        d = 50
+        model = random_model(np.random.default_rng(13), d, kinds=("intervals",))
+        hist = np.random.default_rng(14).normal(size=(d, d, d))
+        extended_upper(model, hist)
+        tracemalloc.start()
+        try:
+            extended_upper(model, hist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < hist.nbytes
+
+    @pytest.mark.parametrize(
+        "extended, called", [(extended_upper, "maximize"), (extended_lower, "minimize")]
+    )
+    def test_one_call_per_block(self, monkeypatch, extended, called):
+        # The benchmark's tracer wraps these two names on ``operators`` and
+        # counts one span per row optimisation; solving several blocks in one
+        # call would need the tracer changed first.
+        model = random_model(np.random.default_rng(15), 4)
+        hist = np.random.default_rng(16).normal(size=(4, 4, 4))
+        calls = {"maximize": [], "minimize": []}
+        for name, seen in calls.items():
+            original = getattr(operators, name)
+            monkeypatch.setattr(
+                operators,
+                name,
+                lambda row, obj, counter=None, seen=seen, original=original: (
+                    seen.append(row) or original(row, obj, counter)
+                ),
+            )
+        extended(model, hist)
+        other = "minimize" if called == "maximize" else "maximize"
+        assert calls[other] == []
+        assert [id(row) for row in calls[called]] == [
+            id(model.rows[i % 4]) for i in range(16)
+        ]
