@@ -18,9 +18,9 @@ a pmf in ``feasible``.  A sum that leaves float range is inf there, or NaN
 when it meets both infinities, without a warning; every comparison that
 reads it is still exact.
 
-Each row kind also owns its linear optimisation, ``_maximize(obj,
-minimise)``, which ``lp.maximize`` and ``lp.minimize`` call: it maximises
-``obj.target(minimise)`` over the row, where ``obj`` is an ``lp.Objective``,
+Each row kind also owns its linear optimisation, ``_maximize(obj)``, which
+``lp.maximize`` calls, and ``lp.minimize`` on the objective's negation: it
+maximises ``obj.values`` over the row, where ``obj`` is an ``lp.Objective``,
 and returns ``(value, maximizer, iterations)``.  Interval rows use the exact
 sorting solution, a vectorised greedy pour of the slack in the objective's
 stable order; vertex rows use direct enumeration; constraint rows run a dense
@@ -218,7 +218,7 @@ class IntervalRow:
     def dim(self) -> int:
         return self.lower.size
 
-    def _maximize(self, obj, minimise: bool) -> tuple:
+    def _maximize(self, obj) -> tuple:
         """The exact sorting solution: start at the lower bounds, then pour
         the slack into the states in decreasing objective order, each up to
         its upper bound (see ``Objective.order``; the row's ``supply``
@@ -233,7 +233,7 @@ class IntervalRow:
         """
         if self.empty:
             raise InfeasibleRowError("interval row is empty")
-        order, gather = obj.order(minimise)
+        order, gather = obj.order()
         seq = self.supply[gather]
         left = np.subtract.accumulate(seq)
         if left[-1] > EPS_FEAS:
@@ -243,7 +243,7 @@ class IntervalRow:
         states = order[take]
         p = self.lower.copy()
         p[states] += add[take]
-        return float(obj.target(minimise).dot(p)), p, states.size
+        return float(obj.values.dot(p)), p, states.size
 
 
 def _vertex_fields(block: np.ndarray, counts):
@@ -317,13 +317,13 @@ class VertexRow:
     def dim(self) -> int:
         return self.vertices.shape[1]
 
-    def _maximize(self, obj, minimise: bool) -> tuple:
+    def _maximize(self, obj) -> tuple:
         """Direct enumeration: the best listed vertex, ties to the lowest
         list index."""
         vertices = self.vertices
         # ``ndarray.dot`` has less call overhead than ``@`` and gives the same
         # bits for a 2-D by 1-D product.
-        values = vertices.dot(obj.target(minimise))
+        values = vertices.dot(obj.values)
         best = values.argmax()
         # ``vertices`` is frozen, so the chosen row is handed out as a view.
         return float(values[best]), vertices[best], 0
@@ -382,20 +382,20 @@ class ConstraintRow:
     def dim(self) -> int:
         return self.a.shape[1]
 
-    def _maximize(self, obj, minimise: bool) -> tuple:
+    def _maximize(self, obj) -> tuple:
         """Phase 2 of the simplex for max c @ p over the row's scaled
-        inequalities, where ``c`` is ``obj.target(minimise)``: it minimises
-        ``-c``, that is ``obj.target(not minimise)``, from a copy of the kept
-        phase-1 start, and counts its own pivots only.  A row without a start
-        raises ``InfeasibleRowError``.  The feasible set lies in the
-        probability simplex, so an unbounded ray is a numeric breakdown,
-        which ``_run_phase`` raises as ``NumericalError``.
+        inequalities, where ``c`` is ``obj.values``: it minimises ``-c``, the
+        values of ``obj.negation``, from a copy of the kept phase-1 start, and
+        counts its own pivots only.  A row without a start raises
+        ``InfeasibleRowError``.  The feasible set lies in the probability
+        simplex, so an unbounded ray is a numeric breakdown, which
+        ``_run_phase`` raises as ``NumericalError``.
         """
         if self.simplex_start is None:
             raise InfeasibleRowError("constraint system admits no pmf")
         start, basis = self.simplex_start
         d = self.dim
-        costs = obj.target(not minimise).tolist()
+        costs = obj.negation.values.tolist()
         tableau = list(start)
         basis = list(basis)
         tableau.append(
@@ -406,7 +406,7 @@ class ConstraintRow:
         for i, k in enumerate(basis):
             if k < d:
                 p[k] = tableau[i][-1]
-        return float(obj.target(minimise).dot(p)), p, iterations
+        return float(obj.values.dot(p)), p, iterations
 
 
 def _solve_phase_one(row: ConstraintRow):

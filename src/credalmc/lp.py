@@ -4,22 +4,25 @@ Every transition-operator evaluation reduces to one call of ``maximize`` (or
 its conjugate ``minimize``) on a single row.  The d rows of one transition
 share their objective, so the operators wrap the gamble once in an
 ``Objective``: it is checked once, and its negation and its stable sort
-orders are computed on first use and kept for the other rows.  A history
+order are computed on first use and kept for the other rows.  A history
 contraction has one objective per block instead, so ``Objective.blocks``
 prepares them in bulk: one negation and one row-wise sort for each chunk of
 ``CHUNK_ENTRIES`` entries, which then serve each block's single call.
 
-Each row kind solves the problem itself, in its ``_maximize`` method in
-``core``, which maximises ``obj.target(minimise)`` and returns a plain
-``(value, maximizer, iterations)`` triple: interval rows pour the slack in
+Each row kind solves one problem only, in its ``_maximize`` method in
+``core``: it maximises ``obj.values`` over the row and returns a plain
+``(value, maximizer, iterations)`` triple.  Interval rows pour the slack in
 the objective's order, vertex rows enumerate their vertices and constraint
-rows run phase 2 of the simplex.  A call is on the hot path of every
-transition, so its fixed cost is kept small: ``maximize`` or ``minimize``
-looks the method up on the row, calls it, and wraps the triple once in
-``LpResult``, a named tuple.  A row of no supported kind has no such method
-and raises ``TypeError``.  A vertex row's maximizer is a read-only view of
-the chosen row of ``vertices``, not a copy; the interval and constraint
-maximizers are fresh arrays.
+rows run phase 2 of the simplex.  Minimisation is the conjugate by
+construction: ``minimize`` runs the same method on the objective's kept
+``negation`` and negates the value, so the lower bound is minus the upper
+bound of the negated gamble, with the same maximizer and iteration count.
+A call is on the hot path of every transition, so its fixed cost is kept
+small: ``maximize`` or ``minimize`` looks the method up on the row, calls
+it, and wraps the triple once in ``LpResult``, a named tuple.  A row of no
+supported kind has no such method and raises ``TypeError``.  A vertex row's
+maximizer is a read-only view of the chosen row of ``vertices``, not a
+copy; the interval and constraint maximizers are fresh arrays.
 """
 
 from __future__ import annotations
@@ -67,20 +70,21 @@ class Objective:
 
     ``values`` is a read-only view of a finite 1-D float array; build one
     with ``Objective.checked``, or directly from an array that has already
-    passed ``as_vector``, or one per block with ``Objective.blocks``.  The
-    negation and, for each direction, the stable sort order and the interval
-    pour's gather index are computed on first use and kept, so every row
-    after the first reuses them.  The rows' ``_maximize`` methods in ``core``
-    read it through ``target`` and ``order`` only.
+    passed ``as_vector``, or one per block with ``Objective.blocks``.  Its
+    ``negation``, an ``Objective`` of ``-values``, and its ``order()`` are
+    computed on first use and kept, so every row after the first reuses
+    them.  The negation holds no reference back, so dropping an objective
+    frees both at once.  The rows' ``_maximize`` methods in ``core`` read
+    ``values``, ``order()`` and ``negation`` only.
     """
 
-    __slots__ = ("values", "_negated", "_orders")
+    __slots__ = ("values", "_negation", "_order")
 
     def __init__(self, values: np.ndarray):
         self.values = values.view()
         self.values.flags.writeable = False
-        self._negated = None
-        self._orders = [None, None]
+        self._negation = None
+        self._order = None
 
     @classmethod
     def checked(cls, values, size: int | None = None, name: str = "objective"):
@@ -96,16 +100,18 @@ class Objective:
         return cls(as_vector(values, size=size, name=name))
 
     @classmethod
-    def blocks(cls, array: np.ndarray, minimise: bool):
+    def blocks(cls, array: np.ndarray, negate: bool):
         """One ``Objective`` per row of the finite ``(k, d)`` float array
-        ``array``, in order, each prepared for the direction ``minimise``.
+        ``array``, in order, over that row or, when ``negate``, over its
+        negation.
 
         The rows are taken a chunk of at most ``CHUNK_ENTRIES`` entries (at
-        least one row) at a time, as read-only views, not copies.  Each chunk
-        is negated once and sorted once, row-wise and stably, and its gather
-        indices are written into one array; each objective's negation and
-        its order for ``minimise`` are rows of those arrays, and give the
-        bits ``Objective(row)`` would compute itself.
+        least one row) at a time.  Each chunk is negated once, and the
+        values of each objective and of its ``negation`` are read-only views
+        of rows of the chunk and of its negation, not copies.  The array
+        the negation reads is sorted once, row-wise and stably, into every
+        objective's ``order()``.  Both give the bits that ``Objective(row)``
+        computes itself: ``-(-x)`` is ``x``.
         """
         d = array.shape[1]
         step = max(1, CHUNK_ENTRIES // d)
@@ -114,39 +120,36 @@ class Objective:
             chunk = array[start : start + step]
             chunk.flags.writeable = False
             negated = -chunk
-            orders = np.argsort(chunk if minimise else negated, axis=1, kind="stable")
+            negated.flags.writeable = False
+            values, keys = (negated, chunk) if negate else (chunk, negated)
+            orders = np.argsort(keys, axis=1, kind="stable")
             gathers = np.zeros((orders.shape[0], d + 1), dtype=orders.dtype)
             np.add(orders, 1, out=gathers[:, 1:])
-            for values, neg, order, gather in zip(chunk, negated, orders, gathers):
+            for row, key, order, gather in zip(values, keys, orders, gathers):
+                negation = new(cls)
+                negation.values, negation._negation, negation._order = key, None, None
                 obj = new(cls)
-                obj.values, obj._negated = values, neg
-                obj._orders = [None, None]
-                obj._orders[minimise] = (order, gather)
+                obj.values, obj._negation, obj._order = row, negation, (order, gather)
                 yield obj
 
     @property
-    def negated(self) -> np.ndarray:
-        if self._negated is None:
-            self._negated = -self.values
-        return self._negated
+    def negation(self) -> Objective:
+        """The ``Objective`` of ``-values``, which ``minimize`` maximises."""
+        if self._negation is None:
+            self._negation = Objective(-self.values)
+        return self._negation
 
-    def target(self, minimise: bool) -> np.ndarray:
-        """The vector that is maximised: the gamble, or its negation when
-        minimising."""
-        return self.negated if minimise else self.values
-
-    def order(self, minimise: bool) -> tuple[np.ndarray, np.ndarray]:
-        """``(order, gather)``: the states by decreasing ``target(minimise)``,
-        ties by ascending index, and ``[0, *(order + 1)]``, the index that
+    def order(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(order, gather)``: the states by decreasing ``values``, ties by
+        ascending index, and ``[0, *(order + 1)]``, the index that
         ``IntervalRow._maximize`` reads its supply with.
 
-        The order is the stable argsort of ``-target``.  When minimising
-        that is ``-(-values)``, which is ``values`` bit for bit."""
-        pair = self._orders[minimise]
-        if pair is None:
-            order = np.argsort(self.target(not minimise), kind="stable")
-            pair = self._orders[minimise] = (order, np.concatenate(([0], order + 1)))
-        return pair
+        The order is the stable argsort of ``-values``.  On a negation that
+        is ``-(-values)``, which is ``values`` bit for bit."""
+        if self._order is None:
+            order = np.argsort(-self.values, kind="stable")
+            self._order = (order, np.concatenate(([0], order + 1)))
+        return self._order
 
 
 def maximize(row: CredalRow, objective, counter: LpCounter | None = None) -> LpResult:
@@ -166,18 +169,20 @@ def maximize(row: CredalRow, objective, counter: LpCounter | None = None) -> LpR
         solve = row._maximize
     except AttributeError:
         raise TypeError(f"unsupported credal row type {type(row).__name__}") from None
-    value, maximizer, iterations = solve(obj, False)
+    value, maximizer, iterations = solve(obj)
     return LpResult(value, maximizer, iterations)
 
 
 def minimize(row: CredalRow, objective, counter: LpCounter | None = None) -> LpResult:
-    """Minimise a linear objective over a credal row (conjugate of maximize)."""
+    """Minimise a linear objective over a credal row, as the conjugate of
+    ``maximize``: minus the maximum of the objective's negation, with that
+    maximizer and iteration count."""
     if counter is not None:
         counter.calls += 1
-    obj = Objective.checked(objective, row.dim)
+    obj = Objective.checked(objective, row.dim).negation
     try:
         solve = row._maximize
     except AttributeError:
         raise TypeError(f"unsupported credal row type {type(row).__name__}") from None
-    value, maximizer, iterations = solve(obj, True)
+    value, maximizer, iterations = solve(obj)
     return LpResult(-value, maximizer, iterations)

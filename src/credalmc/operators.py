@@ -56,7 +56,7 @@ def lower_transition(
 
 
 def _contract(
-    model: ImpreciseMarkovChain, hist: np.ndarray, minimise: bool, counter
+    model: ImpreciseMarkovChain, hist: np.ndarray, negate: bool, counter
 ) -> np.ndarray:
     d = model.size
     if hist.ndim < 2 or hist.shape != (d,) * hist.ndim:
@@ -69,12 +69,12 @@ def _contract(
     # Each block is its own objective, so its negation and sort are done in
     # bulk, a chunk of blocks at a time: the set-up kept for a chunk is about
     # three times the chunk, and a whole history would need three times the
-    # history.  Each block still costs one ``maximize`` or ``minimize`` call,
-    # looked up here so that a wrapper set on this module sees every block.
-    objectives = Objective.blocks(blocks, minimise)
-    optimise = minimize if minimise else maximize
-    out = _optimise_blocks(model, objectives, optimise, counter)
-    return out.reshape(hist.shape[:-1])
+    # history.  Each block still costs one ``maximize`` call, looked up here
+    # so that a wrapper set on this module sees every block.  The lower
+    # contraction maximises the negated blocks and negates the maxima.
+    objectives = Objective.blocks(blocks, negate)
+    out = _optimise_blocks(model, objectives, maximize, counter)
+    return (-out if negate else out).reshape(hist.shape[:-1])
 
 
 def extended_upper(
@@ -92,5 +92,7 @@ def extended_upper(
 def extended_lower(
     model: ImpreciseMarkovChain, hist: np.ndarray, counter: LpCounter | None = None
 ) -> np.ndarray:
-    """Conjugate of ``extended_upper`` on history arrays."""
+    """Conjugate of ``extended_upper`` on history arrays: minus the upper
+    step on the negated history, which is negated a chunk of blocks at a
+    time, never whole."""
     return _contract(model, hist, True, counter)

@@ -183,11 +183,30 @@ class TestMinimize:
         assert minimize(E1_ROW, [-1.5, -1.5]).value == pytest.approx(-1.5, abs=1e-12)
 
     def test_conjugacy_is_exact(self):
+        # The whole result: value, maximizer and iteration count, bit for bit.
+        def conjugate(row, c):
+            res = maximize(row, -c)
+            return -res.value, res.maximizer, res.iterations
+
+        def check(row, c):
+            assert _outcome(lambda: minimize(row, c)) == _outcome(
+                lambda: conjugate(row, c)
+            )
+
         for _ in range(50):
             d = int(rng.integers(2, 5))
             row = random_row(rng, d)
             c = rng.uniform(-3, 3, size=d)
-            assert maximize(row, -c).value == -minimize(row, c).value
+            check(row, c)
+        # Every row kind, on objectives with ties and -0.0 beside 0.0.
+        gen = np.random.default_rng(2024)
+        pool = np.array([-1.0, -0.0, 0.0, 0.5, 1.0])
+        makers = (random_interval_row, random_vertex_row, random_constraint_row)
+        for _ in range(40):
+            d = int(gen.integers(2, 7))
+            c = gen.choice(pool, size=d)
+            for make in makers:
+                check(make(gen, d), c)
 
 
 class TestFeasible:
@@ -708,8 +727,9 @@ class TestPivotRule:
 
 
 class TestSharedObjective:
-    """An ``Objective`` shared by many rows, with its orders kept between
-    calls, gives bit for bit what a fresh plain vector gives on each row."""
+    """An ``Objective`` shared by many rows, with its order and negation kept
+    between calls, gives bit for bit what a fresh plain vector gives on each
+    row."""
 
     _entry = st.one_of(
         st.integers(-2, 2).map(float), st.just(-0.0), st.floats(-5.0, 5.0)
@@ -774,9 +794,9 @@ class TestSharedObjective:
 
 class TestChunkedObjectives:
     """``Objective.blocks`` negates and sorts a chunk of blocks at a time;
-    each block's objective gives on every row kind, in the direction it was
-    prepared for, what a fresh ``Objective(block)`` gives, bit for bit, on
-    either side of every chunk boundary."""
+    each block's objective, over the block or its negation, gives on every
+    row kind what a fresh ``Objective(block)`` or ``Objective(-block)``
+    gives, bit for bit, on either side of every chunk boundary."""
 
     # Few distinct entries, -0.0 beside 0.0 among them, so blocks have ties.
     _POOL = np.array([-2.0, -1.0, -0.3, -0.0, 0.0, 0.5, 1.0, 1.7, 2.0])
@@ -798,10 +818,10 @@ class TestChunkedObjectives:
         d=st.integers(6, 64),
         chunks=st.sampled_from(("1", "chunk", "chunk + 1", "3 chunks + 1")),
         kind=st.sampled_from(("interval", "vertex", "constraint")),
-        minimise=st.booleans(),
+        negate=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_fresh_objectives(self, d, chunks, kind, minimise, seed):
+    def test_matches_fresh_objectives(self, d, chunks, kind, negate, seed):
         gen = np.random.default_rng(seed)
         step = lp.CHUNK_ENTRIES // d
         k = {
@@ -816,18 +836,18 @@ class TestChunkedObjectives:
             gen.normal(size=(k, d)),
         )
         rows = [self._row(kind, gen, d) for _ in range(3)]
-        optimise = minimize if minimise else maximize
 
         def via(objective, row):
-            res = optimise(row, objective)
+            res = maximize(row, objective)
             return res.value, res.maximizer, res.iterations
 
-        prepared = list(lp.Objective.blocks(blocks, minimise))
+        prepared = list(lp.Objective.blocks(blocks, negate))
         assert len(prepared) == k
         for i, (obj, block) in enumerate(zip(prepared, blocks)):
             row = rows[i % 3]
+            fresh = -block if negate else block.copy()
             assert _outcome(lambda: via(obj, row)) == _outcome(
-                lambda: via(lp.Objective(block.copy()), row)
+                lambda: via(lp.Objective(fresh), row)
             )
 
     def test_blocks_are_read_only_views(self):
