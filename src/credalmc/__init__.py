@@ -46,18 +46,11 @@ from .operators import (
     lower_transition,
     upper_transition,
 )
-from .oracle import (
-    ASSIGNMENT_CAP,
-    HISTORY_CAP,
-    enumerate_vertex_processes,
-    materialize_path_function,
-    naive_conditional_bounds,
-)
+from .oracle import HISTORY_CAP, materialize_path_function, naive_conditional_bounds
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ASSIGNMENT_CAP",
     "BoundsResult",
     "CapExceededError",
     "ConstraintRow",
@@ -74,7 +67,6 @@ __all__ = [
     "StateSpace",
     "VertexRow",
     "conditional_bounds",
-    "enumerate_vertex_processes",
     "extended_lower",
     "extended_upper",
     "infer",

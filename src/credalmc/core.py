@@ -24,23 +24,32 @@ maximises ``obj.values`` over the row, where ``obj`` is an ``lp.Objective``,
 and returns ``(value, maximizer, iterations)``.  Interval rows use the exact
 sorting solution, a vectorised greedy pour of the slack in the objective's
 stable order; vertex rows use direct enumeration; constraint rows run a dense
-two-phase simplex restricted to the probability simplex.  The simplex lives
-here, next to ``ConstraintRow``, which solves phase 1 once when it is built
-and keeps its start; each call runs phase 2 on a copy of that start, in plain
-Python floats (the tableaux are too small for numpy's per-operation overhead
-to pay off).  The simplex enters the column with the most negative reduced
-cost (Dantzig's rule) and falls back to Bland's smallest-index rule right
-after a degenerate pivot, which excludes cycling with fewer pivots than
-Bland's rule alone.  The pivot path fixes the last bits of a result: Bland's
-rule alone reaches the same optimum with values that differ by a few ulps.
-All three solutions are deterministic: identical inputs produce bit-identical
-output.  This module imports nothing from the rest of the package.
+two-phase simplex restricted to the probability simplex, or, when small,
+enumerate a vertex list found once.  The simplex lives here, next to
+``ConstraintRow``, which solves phase 1 once when it is built and keeps its
+start; each call runs phase 2 on a copy of that start, in plain Python floats
+(the tableaux are too small for numpy's per-operation overhead to pay off).
+The simplex enters the column with the most negative reduced cost (Dantzig's
+rule) and falls back to Bland's smallest-index rule right after a degenerate
+pivot, which excludes cycling with fewer pivots than Bland's rule alone.  The
+pivot path fixes the last bits of a result: Bland's rule alone reaches the
+same optimum with values that differ by a few ulps.  A feasible row with at
+most ``VERTEX_BASES_MAX`` candidate bases also solves all of its active sets
+in one batch when it is built, and keeps the solutions that lie in the row as
+``vertices``; its calls then take the best vertex, as a vertex row does, with
+0 iterations, which is the optimum up to rounding.  It keeps the
+simplex when an active set is solved with a condition number above
+``VERTEX_COND_MAX``, or when no solution is kept.  Both limits are fixed
+constants.  Every solution is deterministic: identical inputs produce
+bit-identical output.  This module imports nothing from the rest of the
+package.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Union
 
 import numpy as np
@@ -51,6 +60,21 @@ EPS_PROB = 1e-9
 EPS_FEAS = 1e-8
 # Entries smaller than this are treated as zero when selecting simplex pivots.
 PIVOT_TOL = 1e-9
+# A feasible constraint row with at most this many candidate bases, C(m+d,
+# d-1) for m inequalities on d states, is solved over its vertex list, found
+# when the row is built (see ``ConstraintRow``).  Measured on rows like the
+# benchmarks' (a 2-core VM): finding the list takes 0.12 ms at 10 bases
+# (d=3, m=2) and 0.24-0.78 ms at 55 (d=3..10), about what 10 to 40 simplex
+# calls cost, and a call then takes 2 µs instead of 11-38 µs.  A ``check``, or
+# an ``infer`` over a dozen steps, repays that; the 5005 bases of a d=10, m=5
+# row would take 58 ms.
+VERTEX_BASES_MAX = 64
+# A row keeps the simplex if one of its active sets has a 1-norm condition
+# number above this.  A vertex solved through a set of condition number κ
+# misses the row by rounding below 0.4·d·ε·κ (measured); at 1e6, with d <= 10
+# on any row with an inequality under the basis limit, that stays below
+# 1e-9, so no vertex can be judged outside the row at ``EPS_FEAS``.
+VERTEX_COND_MAX = 1e6
 
 
 class CapExceededError(RuntimeError):
@@ -319,7 +343,8 @@ class VertexRow:
 
     def _maximize(self, obj) -> tuple:
         """Direct enumeration: the best listed vertex, ties to the lowest
-        list index."""
+        list index.  It reads ``self.vertices`` only, so a compiled
+        ``ConstraintRow`` runs it too."""
         vertices = self.vertices
         # ``ndarray.dot`` has less call overhead than ``@`` and gives the same
         # bits for a 2-D by 1-D product.
@@ -340,10 +365,17 @@ class ConstraintRow:
 
     Phase 1 of the simplex does not depend on the objective, so it is solved
     here, once: ``simplex_start`` is its tableau and basis, which every
-    optimisation over the row starts from and never writes to, or ``None``
+    simplex call over the row starts from and never writes to, or ``None``
     when no pmf satisfies the row.  An empty row can still be built and
     reported: ``violations`` is then ``("constraint system admits no pmf",)``
     (``()`` otherwise) and ``feasible`` is ``False``.
+
+    A feasible row with at most ``VERTEX_BASES_MAX`` candidate bases, C(m+d,
+    d-1), is compiled here as well: ``vertices`` is the frozen ``(k, d)``
+    array of its vertices (see ``_find_vertices``), and every call takes the
+    best of them, with 0 iterations, in place of phase 2.  ``vertices`` is
+    ``None`` on a row that keeps the simplex; a row over the limit pays only
+    the comparison of its basis count.
     """
 
     a: np.ndarray
@@ -351,6 +383,7 @@ class ConstraintRow:
     scaled_a: np.ndarray = field(init=False, repr=False, compare=False)
     scaled_b: np.ndarray = field(init=False, repr=False, compare=False)
     simplex_start: tuple | None = field(init=False, repr=False, compare=False)
+    vertices: np.ndarray | None = field(init=False, repr=False, compare=False)
     violations: tuple = field(init=False, repr=False, compare=False)
     feasible: bool = field(init=False, repr=False, compare=False)
 
@@ -375,6 +408,9 @@ class ConstraintRow:
         except InfeasibleRowError as exc:
             start, violations = None, (str(exc),)
         object.__setattr__(self, "simplex_start", start)
+        m, d = a.shape
+        compiled = start is not None and math.comb(m + d, d - 1) <= VERTEX_BASES_MAX
+        object.__setattr__(self, "vertices", _find_vertices(self) if compiled else None)
         object.__setattr__(self, "violations", violations)
         object.__setattr__(self, "feasible", start is not None)
 
@@ -383,30 +419,91 @@ class ConstraintRow:
         return self.a.shape[1]
 
     def _maximize(self, obj) -> tuple:
-        """Phase 2 of the simplex for max c @ p over the row's scaled
-        inequalities, where ``c`` is ``obj.values``: it minimises ``-c``, the
-        values of ``obj.negation``, from a copy of the kept phase-1 start, and
-        counts its own pivots only.  A row without a start raises
-        ``InfeasibleRowError``.  The feasible set lies in the probability
-        simplex, so an unbounded ray is a numeric breakdown, which
-        ``_run_phase`` raises as ``NumericalError``.
-        """
-        if self.simplex_start is None:
-            raise InfeasibleRowError("constraint system admits no pmf")
-        start, basis = self.simplex_start
-        d = self.dim
-        costs = obj.negation.values.tolist()
-        tableau = list(start)
-        basis = list(basis)
-        tableau.append(
-            _reduced_costs(tableau, [costs[k] if k < d else 0.0 for k in basis], costs)
-        )
-        iterations = _run_phase(tableau, basis)
-        p = np.zeros(d)
-        for i, k in enumerate(basis):
-            if k < d:
-                p[k] = tableau[i][-1]
-        return float(obj.values.dot(p)), p, iterations
+        """The best of the row's ``vertices`` when it has them, by
+        ``VertexRow._maximize``, with 0 iterations; otherwise phase 2 of the
+        simplex, ``_simplex_maximize``."""
+        if self.vertices is None:
+            return _simplex_maximize(self, obj)
+        return VertexRow._maximize(self, obj)
+
+
+def _simplex_maximize(row: ConstraintRow, obj) -> tuple:
+    """Phase 2 of the simplex for max c @ p over the row's scaled
+    inequalities, where ``c`` is ``obj.values``: it minimises ``-c``, the
+    values of ``obj.negation``, from a copy of the kept phase-1 start, and
+    counts its own pivots only.  A row without a start raises
+    ``InfeasibleRowError``.  The feasible set lies in the probability
+    simplex, so an unbounded ray is a numeric breakdown, which ``_run_phase``
+    raises as ``NumericalError``.
+    """
+    if row.simplex_start is None:
+        raise InfeasibleRowError("constraint system admits no pmf")
+    start, basis = row.simplex_start
+    d = row.dim
+    costs = obj.negation.values.tolist()
+    tableau = list(start)
+    basis = list(basis)
+    tableau.append(
+        _reduced_costs(tableau, [costs[k] if k < d else 0.0 for k in basis], costs)
+    )
+    iterations = _run_phase(tableau, basis)
+    p = np.zeros(d)
+    for i, k in enumerate(basis):
+        if k < d:
+            p[k] = tableau[i][-1]
+    return float(obj.values.dot(p)), p, iterations
+
+
+def _find_vertices(row: ConstraintRow) -> np.ndarray | None:
+    """The vertices of a feasible row, as a frozen ``(k, d)`` array, or
+    ``None`` when the row keeps the simplex.
+
+    Each candidate basis is an active set: ``d - 1`` of the scaled
+    inequalities and the bounds ``p >= 0``, held as equalities together with
+    ``sum(p) = 1``.  All of them are solved at once.  A set whose LU
+    factorisation has a zero pivot has no unique solution and is skipped, as
+    is a set with an infinite bound (see ``ConstraintRow``).  Every vertex
+    solves some regular set, so the list misses none as long as every
+    regular set is well conditioned: the row keeps the simplex when one has
+    a 1-norm condition number above ``VERTEX_COND_MAX``.
+
+    Each solution is then judged by how far it misses the row, the largest
+    excess of ``scaled_a @ p`` over ``scaled_b`` or of ``-p`` over 0.  A
+    vertex misses it by rounding only, below ``4·d·ε·cond`` for its set's
+    condition number (measured: under a tenth of that), and is kept.  A
+    solution that misses by more than ``EPS_FEAS`` is outside and dropped.
+    One in between is a near-vertex: keeping it could loosen the bound by up
+    to ``EPS_FEAS``, and a row accepted by phase 1 within ``EPS_FEAS`` may
+    have no exact vertex at all, so such a row keeps the simplex, as does a
+    row with no solution kept.
+    """
+    m, d = row.scaled_a.shape
+    lhs = np.concatenate([row.scaled_a, -np.eye(d)])
+    rhs = np.concatenate([row.scaled_b, np.zeros(d)])
+    active = list(combinations(range(m + d), d - 1))
+    active = np.array(active, dtype=np.intp).reshape(len(active), d - 1)
+    systems = np.ones((active.shape[0], d, d))
+    systems[:, :-1] = lhs[active]
+    targets = np.ones((active.shape[0], d, 1))
+    targets[:, :-1, 0] = rhs[active]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # A zero pivot makes the log-determinant -inf and the sign 0.
+        sign, _ = np.linalg.slogdet(systems)
+        regular = (sign != 0.0) & np.isfinite(targets).all(axis=(1, 2))
+        systems, targets = systems[regular], targets[regular]
+        norms = np.abs(systems).sum(axis=1).max(axis=1)
+        cond = norms * np.abs(np.linalg.inv(systems)).sum(axis=1).max(axis=1)
+        if not (cond <= VERTEX_COND_MAX).all():  # a NaN fails too
+            return None
+        points = np.linalg.solve(systems, targets)[:, :, 0]
+        excess = (points @ row.scaled_a.T - row.scaled_b).max(axis=1, initial=-math.inf)
+        miss = np.maximum(excess, -points.min(axis=1))
+    vertex = miss <= 4.0 * d * np.finfo(float).eps * cond
+    if not vertex.any() or (~vertex & (miss <= EPS_FEAS)).any():
+        return None
+    # A bound p_i >= 0 held as -p_i = 0 solves to -0.0; adding 0.0 gives the
+    # 0.0 the simplex leaves there.
+    return _freeze(points[vertex] + 0.0)
 
 
 def _solve_phase_one(row: ConstraintRow):

@@ -6,14 +6,17 @@ share their objective, so the operators wrap the gamble once in an
 ``Objective``: it is checked once, and its negation and its stable sort
 order are computed on first use and kept for the other rows.  A history
 contraction has one objective per block instead, so ``Objective.blocks``
-prepares them in bulk: one negation and one row-wise sort for each chunk of
-``CHUNK_ENTRIES`` entries, which then serve each block's single call.
+prepares them in bulk: one negation for each chunk of ``CHUNK_ENTRIES``
+entries, plus one row-wise sort when a row reads the order, which then serve
+each block's single call.
 
 Each row kind solves one problem only, in its ``_maximize`` method in
 ``core``: it maximises ``obj.values`` over the row and returns a plain
 ``(value, maximizer, iterations)`` triple.  Interval rows pour the slack in
 the objective's order, vertex rows enumerate their vertices and constraint
-rows run phase 2 of the simplex.  Minimisation is the conjugate by
+rows run phase 2 of the simplex, or, when the row is small enough to have
+found its vertex list when it was built, enumerate that list, with 0
+iterations.  Minimisation is the conjugate by
 construction: ``minimize`` runs the same method on the objective's kept
 ``negation`` and negates the value, so the lower bound is minus the upper
 bound of the negated gamble, with the same maximizer and iteration count.
@@ -21,8 +24,9 @@ A call is on the hot path of every transition, so its fixed cost is kept
 small: ``maximize`` or ``minimize`` looks the method up on the row, calls
 it, and wraps the triple once in ``LpResult``, a named tuple.  A row of no
 supported kind has no such method and raises ``TypeError``.  A vertex row's
-maximizer is a read-only view of the chosen row of ``vertices``, not a
-copy; the interval and constraint maximizers are fresh arrays.
+maximizer, and that of a constraint row solved over its vertex list, is a
+read-only view of the chosen row of ``vertices``, not a copy; the interval
+and simplex maximizers are fresh arrays.
 """
 
 from __future__ import annotations
@@ -100,7 +104,7 @@ class Objective:
         return cls(as_vector(values, size=size, name=name))
 
     @classmethod
-    def blocks(cls, array: np.ndarray, negate: bool):
+    def blocks(cls, array: np.ndarray, negate: bool, ordered: bool):
         """One ``Objective`` per row of the finite ``(k, d)`` float array
         ``array``, in order, over that row or, when ``negate``, over its
         negation.
@@ -108,10 +112,11 @@ class Objective:
         The rows are taken a chunk of at most ``CHUNK_ENTRIES`` entries (at
         least one row) at a time.  Each chunk is negated once, and the
         values of each objective and of its ``negation`` are read-only views
-        of rows of the chunk and of its negation, not copies.  The array
-        the negation reads is sorted once, row-wise and stably, into every
-        objective's ``order()``.  Both give the bits that ``Objective(row)``
-        computes itself: ``-(-x)`` is ``x``.
+        of rows of the chunk and of its negation, not copies.  When
+        ``ordered``, the array the negation reads is also sorted once,
+        row-wise and stably, into every objective's ``order()``; otherwise
+        ``order()`` is left to compute itself on first use.  Both give the
+        bits that ``Objective(row)`` computes itself: ``-(-x)`` is ``x``.
         """
         d = array.shape[1]
         step = max(1, CHUNK_ENTRIES // d)
@@ -122,14 +127,18 @@ class Objective:
             negated = -chunk
             negated.flags.writeable = False
             values, keys = (negated, chunk) if negate else (chunk, negated)
-            orders = np.argsort(keys, axis=1, kind="stable")
-            gathers = np.zeros((orders.shape[0], d + 1), dtype=orders.dtype)
-            np.add(orders, 1, out=gathers[:, 1:])
-            for row, key, order, gather in zip(values, keys, orders, gathers):
+            if ordered:
+                orders = np.argsort(keys, axis=1, kind="stable")
+                gathers = np.zeros((orders.shape[0], d + 1), dtype=orders.dtype)
+                np.add(orders, 1, out=gathers[:, 1:])
+                prepared = zip(orders, gathers)
+            else:
+                prepared = [None] * len(values)
+            for row, key, order in zip(values, keys, prepared):
                 negation = new(cls)
                 negation.values, negation._negation, negation._order = key, None, None
                 obj = new(cls)
-                obj.values, obj._negation, obj._order = row, negation, (order, gather)
+                obj.values, obj._negation, obj._order = row, negation, order
                 yield obj
 
     @property

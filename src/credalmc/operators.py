@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ImpreciseMarkovChain
+from .core import ImpreciseMarkovChain, IntervalRow
 from .lp import LpCounter, Objective, maximize, minimize
 
 
@@ -69,10 +69,12 @@ def _contract(
     # Each block is its own objective, so its negation and sort are done in
     # bulk, a chunk of blocks at a time: the set-up kept for a chunk is about
     # three times the chunk, and a whole history would need three times the
-    # history.  Each block still costs one ``maximize`` call, looked up here
+    # history.  Only interval rows read the sort, so a model without one
+    # skips it.  Each block still costs one ``maximize`` call, looked up here
     # so that a wrapper set on this module sees every block.  The lower
     # contraction maximises the negated blocks and negates the maxima.
-    objectives = Objective.blocks(blocks, negate)
+    ordered = any(isinstance(row, IntervalRow) for row in model.rows)
+    objectives = Objective.blocks(blocks, negate, ordered)
     out = _optimise_blocks(model, objectives, maximize, counter)
     return (-out if negate else out).reshape(hist.shape[:-1])
 

@@ -1,16 +1,20 @@
 """Shared fixtures-by-hand: the worked two-state model, random instance
 generators, small independent oracles used to derive expected values, and
 the reference functions that only tests call (operator iterates, the pmf
-rule, a greedy interval witness, and the model document writer)."""
+rule, a greedy interval witness, the model document writer, and the
+brute-force envelope over extreme compatible processes)."""
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 import numpy as np
 
 from credalmc import (
+    CapExceededError,
     ConstraintRow,
+    CredalRow,
     ImpreciseMarkovChain,
     InfeasibleRowError,
     IntervalRow,
@@ -21,6 +25,7 @@ from credalmc import (
     upper_transition,
 )
 from credalmc.core import EPS_FEAS, EPS_PROB, PIVOT_TOL, NumericalError, as_vector
+from credalmc.oracle import _check_history
 
 # The two-state worked model used throughout: out of s0 the chance of moving
 # to s1 lies in [0.1, 0.3]; out of s1 the chance of moving to s0 lies in
@@ -436,6 +441,82 @@ def reference_simplex_max(c, a_ub, b_ub):
     x[basis] = tableau[:n_rows, -1]
     p = x[:d].copy()
     return float(np.dot(c, p)), p, iterations
+
+
+# Cap on the number of enumerated process assignments (summed over starting
+# states), which bounds the cost of the brute-force envelope check.
+ASSIGNMENT_CAP = 1_000_000
+
+
+def _row_extreme_points(row: CredalRow, where: str) -> list[np.ndarray]:
+    if isinstance(row, VertexRow):
+        return [np.array(v, copy=True) for v in row.vertices]
+    if isinstance(row, IntervalRow) and row.dim == 2:
+        # On two states the interval row is a segment; its endpoints are the
+        # pmfs with maximal mass on either state.
+        lo, up = row.lower, row.upper
+        p0_hi = min(up[0], 1.0 - lo[1])
+        p0_lo = max(lo[0], 1.0 - up[1])
+        points = [np.array([p0_hi, 1.0 - p0_hi])]
+        if abs(p0_lo - p0_hi) > 1e-15:
+            points.append(np.array([p0_lo, 1.0 - p0_lo]))
+        return points
+    raise ValueError(
+        f"{where}: vertex enumeration needs vertex rows "
+        "(or two-state interval rows, which convert to their endpoints)"
+    )
+
+
+def enumerate_vertex_processes(
+    model: ImpreciseMarkovChain, hist: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Brute-force envelope over extreme compatible processes, given the start.
+
+    A compatible process may pick a different row element after every
+    history, so one assignment attaches an extreme pmf to every history node
+    of depth below the horizon.  Subtrees never interact, so the
+    expectations below a node, one per assignment of its subtree, are every
+    ``sum(pmf[y] * w[y])`` with ``pmf`` an extreme point of the node's row
+    and ``w`` one expectation from each child.  The componentwise maximum
+    and minimum over each start's expectations are returned.  Assignments
+    are counted first, per depth and last state; more than
+    ``ASSIGNMENT_CAP`` over all starts raises ``CapExceededError``.
+    """
+    _check_history(model, hist)
+    d = model.size
+    n = hist.ndim
+    values = hist.ravel()
+    if n == 1:
+        return values.copy(), values.copy()
+
+    extremes = [
+        _row_extreme_points(row, f"row {label!r}")
+        for label, row in zip(model.states.labels, model.rows)
+    ]
+    counts = [1] * d
+    for _ in range(n - 1):
+        below = math.prod(counts)
+        counts = [min(len(e) * below, ASSIGNMENT_CAP + 1) for e in extremes]
+    if sum(counts) > ASSIGNMENT_CAP:
+        raise CapExceededError(
+            f"process enumeration needs more than {ASSIGNMENT_CAP} assignments"
+        )
+
+    def expectations(idx: int, depth: int) -> list[float]:
+        if depth == n:
+            return [float(values[idx])]
+        children = [expectations(idx * d + y, depth + 1) for y in range(d)]
+        return [
+            sum(pmf[y] * w[y] for y in range(d) if pmf[y] != 0.0)
+            for pmf in extremes[idx % d]
+            for w in product(*children)
+        ]
+
+    per_start = [expectations(x, 1) for x in range(d)]
+    # Starting from an infinity skips NaN expectations.
+    upper = np.array([max([-np.inf, *e]) for e in per_start])
+    lower = np.array([min([np.inf, *e]) for e in per_start])
+    return upper, lower
 
 
 def endpoint_bruteforce_two_step_upper(model, f):

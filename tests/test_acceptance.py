@@ -19,7 +19,6 @@ from credalmc import (
     LpCounter,
     StateSpace,
     conditional_bounds,
-    enumerate_vertex_processes,
     infer,
     limit_infer,
     lower_transition,
@@ -38,6 +37,7 @@ from helpers import (
     E1_SPACE,
     e1_model,
     endpoint_bruteforce_two_step_upper,
+    enumerate_vertex_processes,
     forward_conditional,
     forward_unconditional,
     iterate_upper,

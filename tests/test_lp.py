@@ -495,31 +495,64 @@ def _reference_feasible(a, b):
     return True
 
 
+def _assert_matches_simplex(row, c, values=True):
+    """``maximize`` and ``minimize`` on a constraint row against the simplex,
+    ``core._simplex_maximize``.  On a row that keeps the simplex they are
+    compared bit for bit.  On a row solved over its vertex list they report
+    0 iterations and a maximizer in the row, and, when ``values``, a value
+    within 1e-12 relative of the simplex's."""
+    obj = lp.Objective.checked(c)
+    sides = ((maximize, obj, 1.0), (minimize, obj.negation, -1.0))
+    for optimise, target, sign in sides:
+
+        def via():
+            res = optimise(row, c)
+            return sign * res.value, res.maximizer, res.iterations
+
+        if row.vertices is None:
+            assert _outcome(via) == _outcome(
+                lambda: core._simplex_maximize(row, target)
+            )
+            continue
+        value, maximizer, iterations = via()
+        assert iterations == 0
+        assert row_contains(row, maximizer)
+        if values:
+            want = core._simplex_maximize(row, target)[0]
+            assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
+
+
 def _assert_matches_reference_simplex(a, b, c):
     c = np.array(c, dtype=float)
     a = np.array(a, dtype=float).reshape(len(b), c.size)
     row = ConstraintRow(a=a, b=b)
+    obj = lp.Objective.checked(c)
 
-    def via(optimise, sign):
-        res = optimise(row, c)
-        return sign * res.value, res.maximizer, res.iterations
+    def simplex(objective):
+        return core._simplex_maximize(row, objective)
 
     # Twice each, so that calls after others on the same row, all starting
     # from the kept phase-1 tableau, are compared too.
     for _ in range(2):
-        assert _outcome(lambda: via(maximize, 1.0)) == _outcome(
+        assert _outcome(lambda: simplex(obj)) == _outcome(
             lambda: reference_simplex_max(c, a, b)
         )
         assert row.feasible == _reference_feasible(a, b)
-        assert _outcome(lambda: via(minimize, -1.0)) == _outcome(
+        assert _outcome(lambda: simplex(obj.negation)) == _outcome(
             lambda: reference_simplex_max(-c, a, b)
         )
+    # On rows with float entries the simplex itself can stop off the optimum
+    # (see ``TestCompiledConstraintRows``), so values are compared on the
+    # integer rows there only.
+    _assert_matches_simplex(row, c, values=False)
 
 
 class TestConstraintSimplexMatchesReference:
     """The simplex that keeps each row's phase-1 start equals the solver that
     redoes both phases on every call, bit for bit: value, maximizer,
-    iteration count, raised error and feasibility."""
+    iteration count, raised error and feasibility.  ``maximize`` and
+    ``minimize`` then equal that simplex on a row that keeps it (see
+    ``_assert_matches_simplex``)."""
 
     @pytest.mark.parametrize(
         "a, b, c",
@@ -637,6 +670,35 @@ def _row_vertices(row):
     return vertices
 
 
+def _small_integer_row(data):
+    """A constraint row of small integers on 1 to 5 states and 0 to 4
+    inequalities, often degenerate, and an objective of small integers, so
+    that many objectives have several optima."""
+    d = data.draw(st.integers(1, 5))
+    m = data.draw(st.integers(0, 4))
+    a = np.array(
+        data.draw(st.lists(st.integers(-2, 2), min_size=m * d, max_size=m * d)),
+        dtype=float,
+    ).reshape(m, d)
+    through = data.draw(st.sampled_from(["simplex vertex", "barycentre", "free"]))
+    if through == "simplex vertex":
+        # Every inequality holds with equality at one corner of the
+        # simplex: a degenerate vertex.
+        b = a[:, data.draw(st.integers(0, d - 1))]
+    elif through == "barycentre":
+        b = a @ np.full(d, 1.0 / d)
+    else:
+        b = np.array(
+            data.draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m)),
+            dtype=float,
+        )
+    c = np.array(
+        data.draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d)),
+        dtype=float,
+    )
+    return ConstraintRow(a=a, b=b), c
+
+
 class TestConstraintRowTightness:
     """A constraint row's value is the true optimum: the best of its
     vertices, found by brute force without a simplex, so the check does not
@@ -645,30 +707,7 @@ class TestConstraintRowTightness:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_value_is_the_best_vertex(self, data):
-        d = data.draw(st.integers(1, 5))
-        m = data.draw(st.integers(0, 4))
-        a = np.array(
-            data.draw(st.lists(st.integers(-2, 2), min_size=m * d, max_size=m * d)),
-            dtype=float,
-        ).reshape(m, d)
-        through = data.draw(st.sampled_from(["simplex vertex", "barycentre", "free"]))
-        if through == "simplex vertex":
-            # Every inequality holds with equality at one corner of the
-            # simplex: a degenerate vertex.
-            b = a[:, data.draw(st.integers(0, d - 1))]
-        elif through == "barycentre":
-            b = a @ np.full(d, 1.0 / d)
-        else:
-            b = np.array(
-                data.draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m)),
-                dtype=float,
-            )
-        # Small integers tie often, so many objectives have several optima.
-        c = np.array(
-            data.draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d)),
-            dtype=float,
-        )
-        row = ConstraintRow(a=a, b=b)
+        row, c = _small_integer_row(data)
         vertices = _row_vertices(row)
         if not vertices:
             with pytest.raises(InfeasibleRowError):
@@ -679,6 +718,130 @@ class TestConstraintRowTightness:
             res = optimise(row, c)
             assert res.value == pytest.approx(best, abs=1e-9)
             assert row_contains(row, res.maximizer)
+
+
+def _unique_rows(points):
+    """The distinct rows of ``points``, rounded to 12 decimals, sorted."""
+    return sorted({tuple(np.round(p, 12) + 0.0) for p in points})
+
+
+class TestCompiledConstraintRows:
+    """A feasible constraint row with at most ``VERTEX_BASES_MAX`` candidate
+    bases is solved over the vertex list it finds when it is built."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_simplex(self, data):
+        row, c = _small_integer_row(data)
+        _assert_matches_simplex(row, c)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_vertices_are_the_brute_force_vertices(self, data):
+        row, _ = _small_integer_row(data)
+        if row.vertices is None:
+            return
+        assert not row.vertices.flags.writeable
+        assert _unique_rows(row.vertices) == _unique_rows(_row_vertices(row))
+
+    @pytest.mark.parametrize(
+        "a, b, vertices",
+        [
+            (np.zeros((0, 3)), [], np.eye(3)),  # m = 0
+            (np.zeros((0, 1)), [], [[1.0]]),  # m = 0, d = 1
+            ([[1.0]], [2.0], [[1.0]]),  # d = 1
+            ([[0.0, 0.0]], [1.0], np.eye(2)),  # all-zero inequality
+            ([[0.0, 0.0]], [0.0], np.eye(2)),
+            ([[-1.0, 0.0, 0.0]], [-0.5], [[0.5, 0.5, 0], [0.5, 0, 0.5], [1, 0, 0]]),
+            (
+                [[1.0, 0.0], [1.0, 0.0], [2.0, 0.0], [-1.0, -1.0]],
+                [0.4, 0.4, 0.8, -1.0],
+                [[0.4, 0.6], [0.0, 1.0]],
+            ),  # duplicate and redundant rows
+            ([[1.0, 0.0], [-1.0, 0.0]], [0.25, -0.25], [[0.25, 0.75]]),
+            ([[1e-310, 0.0], [1.0, 0.0]], [1.0, 0.5], [[0.5, 0.5], [0.0, 1.0]]),
+        ],
+    )
+    def test_edge_cases(self, a, b, vertices):
+        d = np.shape(vertices)[1]
+        row = ConstraintRow(a=np.reshape(a, (len(b), d)), b=b)
+        assert _unique_rows(row.vertices) == _unique_rows(vertices)
+        gen = np.random.default_rng(len(b))
+        for c in [np.arange(row.dim, dtype=float), *gen.normal(size=(5, row.dim))]:
+            _assert_matches_simplex(row, c)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([[1.0, 1.0]], [1.0 - 1e-9]),  # short, within EPS_FEAS: no vertex
+            # The corner (0, 0, 0, 1) misses the row by 6.9e-9: keeping it
+            # would raise the maximum of p3 by that much.
+            ([[0.0] * 4, [1.0, 1.0, -1.0, 6.892739913138855e-09]], [0.0, 0.0]),
+            ([[1.0]], [0.5]),  # infeasible
+            ([[1e-310, 0.0]], [-1.0]),  # b scales to -inf: infeasible
+        ],
+    )
+    def test_row_with_a_near_vertex_or_none_keeps_the_simplex(self, a, b):
+        row = ConstraintRow(a=a, b=b)
+        assert row.vertices is None
+        _assert_matches_simplex(row, np.arange(row.dim, dtype=float))
+
+    @staticmethod
+    def _mass_cap_rows(m):
+        # m caps p0 <= u on two states: C(m + 2, 1) = m + 2 bases, every
+        # active set well conditioned.
+        u = np.linspace(0.5, 0.9, m)
+        return ConstraintRow(a=np.tile([1.0, 0.0], (m, 1)), b=u)
+
+    def test_one_basis_over_the_limit_keeps_the_simplex(self, monkeypatch):
+        at_limit = self._mass_cap_rows(core.VERTEX_BASES_MAX - 2)
+        assert at_limit.vertices is not None
+        _assert_matches_simplex(at_limit, [1.0, -1.0])
+        # Over the limit, building the row only compares the basis count.
+        finds = []
+        find = core._find_vertices
+        monkeypatch.setattr(
+            core, "_find_vertices", lambda row: finds.append(row) or find(row)
+        )
+        over = self._mass_cap_rows(core.VERTEX_BASES_MAX - 1)
+        assert over.vertices is None
+        assert finds == []
+        _assert_matches_simplex(over, [1.0, -1.0])
+
+    def test_ill_conditioned_row_keeps_the_simplex(self, monkeypatch):
+        # Two inequalities 1e-7 apart: their active set has a 1-norm
+        # condition number of 6e7.
+        a, b = [[1.0, 0.0, 0.0], [1.0, 1e-7, 0.0]], [0.5, 0.5]
+        row = ConstraintRow(a=a, b=b)
+        assert row.vertices is None
+        for c in ([1.0, 2.0, 0.0], [0.0, 1.0, 2.0], [-1.0, 0.5, 0.25]):
+            _assert_matches_simplex(row, c)
+        monkeypatch.setattr(core, "VERTEX_COND_MAX", 1e9)
+        assert ConstraintRow(a=a, b=b).vertices is not None
+
+    def test_small_row_answers_where_the_simplex_leaves_the_row(self):
+        # Phase 1 pivots on the scaled entry 1.25e-8, its tableau grows
+        # entries of 8e7, and the start it keeps is p = [1.028, -0.028],
+        # outside the row: the simplex answers 2.083 > max(c).  The vertex
+        # list answers within the row.
+        row = ConstraintRow(
+            a=[[2.5e-08, -2.0], [-1.0, -2.0], [1.486243791690777, 0.0],
+               [2.0, 2.6237412236282402]],
+            b=[1e-09, 0.0, 1.5272352896160752, 2.7306097113498335],
+        )
+        assert row.vertices is not None
+        c = np.array([2.0, -1.0])
+        res = maximize(row, c)
+        assert row_contains(row, res.maximizer)
+        assert res.value == max(float(c @ p) for p in _row_vertices(row))
+        assert res.value == pytest.approx(2.0, abs=1e-7)
+
+    def test_maximizer_is_a_read_only_view_of_a_vertex(self):
+        row = ConstraintRow(a=[[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]], b=[0.7, -0.2])
+        for optimise in (maximize, minimize):
+            p = optimise(row, [1.0, 2.0, 3.0]).maximizer
+            assert np.shares_memory(p, row.vertices)
+            assert not p.flags.writeable
 
 
 def _bits(res):
@@ -793,10 +956,11 @@ class TestSharedObjective:
 
 
 class TestChunkedObjectives:
-    """``Objective.blocks`` negates and sorts a chunk of blocks at a time;
-    each block's objective, over the block or its negation, gives on every
-    row kind what a fresh ``Objective(block)`` or ``Objective(-block)``
-    gives, bit for bit, on either side of every chunk boundary."""
+    """``Objective.blocks`` negates a chunk of blocks at a time, and sorts it
+    when asked to; each block's objective, over the block or its negation,
+    sorted in bulk or not, gives on every row kind what a fresh
+    ``Objective(block)`` or ``Objective(-block)`` gives, bit for bit, on
+    either side of every chunk boundary."""
 
     # Few distinct entries, -0.0 beside 0.0 among them, so blocks have ties.
     _POOL = np.array([-2.0, -1.0, -0.3, -0.0, 0.0, 0.5, 1.0, 1.7, 2.0])
@@ -819,9 +983,10 @@ class TestChunkedObjectives:
         chunks=st.sampled_from(("1", "chunk", "chunk + 1", "3 chunks + 1")),
         kind=st.sampled_from(("interval", "vertex", "constraint")),
         negate=st.booleans(),
+        ordered=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_fresh_objectives(self, d, chunks, kind, negate, seed):
+    def test_matches_fresh_objectives(self, d, chunks, kind, negate, ordered, seed):
         gen = np.random.default_rng(seed)
         step = lp.CHUNK_ENTRIES // d
         k = {
@@ -841,7 +1006,7 @@ class TestChunkedObjectives:
             res = maximize(row, objective)
             return res.value, res.maximizer, res.iterations
 
-        prepared = list(lp.Objective.blocks(blocks, negate))
+        prepared = list(lp.Objective.blocks(blocks, negate, ordered))
         assert len(prepared) == k
         for i, (obj, block) in enumerate(zip(prepared, blocks)):
             row = rows[i % 3]
@@ -852,7 +1017,7 @@ class TestChunkedObjectives:
 
     def test_blocks_are_read_only_views(self):
         blocks = np.arange(12.0).reshape(4, 3)
-        for obj, block in zip(lp.Objective.blocks(blocks, False), blocks):
+        for obj, block in zip(lp.Objective.blocks(blocks, False, True), blocks):
             assert np.shares_memory(obj.values, block)
             assert not obj.values.flags.writeable
         assert blocks.flags.writeable

@@ -361,6 +361,28 @@ class TestChunkedContraction:
         assert peak < hist.nbytes
 
     @pytest.mark.parametrize("extended", [extended_upper, extended_lower])
+    @pytest.mark.parametrize(
+        "kind, d", [("constraints", 3), ("constraints", 6), ("vertices", 6), (None, 6)]
+    )
+    def test_sorts_only_for_interval_rows(self, monkeypatch, extended, kind, d):
+        # Only ``IntervalRow._maximize`` reads an objective's order, so a
+        # model without an interval row sorts no block.  Constraint rows on
+        # three states are solved over their vertices, on six by the simplex.
+        if kind is None:
+            model = _mixed_model(18, d)
+        else:
+            model = random_model(np.random.default_rng(17), d, kinds=(kind,))
+        hist = np.random.default_rng(19).normal(size=(d, d, d))
+        want = extended(model, hist)
+        sorts = []
+        argsort = np.argsort
+        monkeypatch.setattr(
+            np, "argsort", lambda *args, **kw: sorts.append(1) or argsort(*args, **kw)
+        )
+        assert extended(model, hist).tobytes() == want.tobytes()
+        assert bool(sorts) == (kind is None)
+
+    @pytest.mark.parametrize("extended", [extended_upper, extended_lower])
     def test_one_call_per_block(self, monkeypatch, extended):
         # The benchmark's tracer wraps these two names on ``operators`` and
         # counts one span per row optimisation; solving several blocks in one

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from credalmc import (
-    ASSIGNMENT_CAP,
     HISTORY_CAP,
     CapExceededError,
     ImpreciseMarkovChain,
@@ -11,7 +10,6 @@ from credalmc import (
     RecursiveSpec,
     VertexRow,
     conditional_bounds,
-    enumerate_vertex_processes,
     materialize_path_function,
     naive_conditional_bounds,
     spec_hitting_probability,
@@ -19,8 +17,10 @@ from credalmc import (
     spec_sum,
 )
 from helpers import (
+    ASSIGNMENT_CAP,
     E1_SPACE,
     e1_model,
+    enumerate_vertex_processes,
     random_gamble,
     random_model,
     random_pmf,
