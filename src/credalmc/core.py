@@ -62,16 +62,16 @@ EPS_FEAS = 1e-8
 PIVOT_TOL = 1e-9
 # A feasible constraint row with at most this many candidate bases, C(m+d,
 # d-1) for m inequalities on d states, is solved over its vertex list, found
-# when the row is built (see ``ConstraintRow``).  Measured on rows like the
-# benchmarks' (a 2-core VM): finding the list takes 0.12 ms at 10 bases
-# (d=3, m=2) and 0.24-0.78 ms at 55 (d=3..10), about what 10 to 40 simplex
-# calls cost, and a call then takes 2 µs instead of 11-38 µs.  A ``check``, or
-# an ``infer`` over a dozen steps, repays that; the 5005 bases of a d=10, m=5
-# row would take 58 ms.
-VERTEX_BASES_MAX = 64
+# when the row is built (see ``ConstraintRow``).  The limit is the 10 bases of
+# the d=3, m=2 rows of the ``mixed-check`` benchmark, the only measured
+# traffic that builds a list: there it takes 0.12 ms on a 2-core VM, and a
+# call then takes 4 µs instead of 18 µs, which cut that benchmark's p90 by a
+# third.  Rows of 55 bases take 0.24-0.78 ms, 20 to 70 simplex calls, which a
+# short ``infer`` or a ``validate`` does not repay; no benchmark has such rows.
+VERTEX_BASES_MAX = 10
 # A row keeps the simplex if one of its active sets has a 1-norm condition
 # number above this.  A vertex solved through a set of condition number κ
-# misses the row by rounding below 0.4·d·ε·κ (measured); at 1e6, with d <= 10
+# misses the row by rounding below 0.4·d·ε·κ (measured); at 1e6, with d <= 4
 # on any row with an inequality under the basis limit, that stays below
 # 1e-9, so no vertex can be judged outside the row at ``EPS_FEAS``.
 VERTEX_COND_MAX = 1e6

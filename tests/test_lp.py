@@ -1,6 +1,7 @@
 import warnings
 from dataclasses import fields
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -499,8 +500,9 @@ def _assert_matches_simplex(row, c, values=True):
     """``maximize`` and ``minimize`` on a constraint row against the simplex,
     ``core._simplex_maximize``.  On a row that keeps the simplex they are
     compared bit for bit.  On a row solved over its vertex list they report
-    0 iterations and a maximizer in the row, and, when ``values``, a value
-    within 1e-12 relative of the simplex's."""
+    0 iterations, a maximizer in the row and a value within
+    1e-12·max(1, |v|) of the best vertex found by brute force,
+    ``_row_vertices``, and, when ``values``, of the simplex's value too."""
     obj = lp.Objective.checked(c)
     sides = ((maximize, obj, 1.0), (minimize, obj.negation, -1.0))
     for optimise, target, sign in sides:
@@ -517,8 +519,10 @@ def _assert_matches_simplex(row, c, values=True):
         value, maximizer, iterations = via()
         assert iterations == 0
         assert row_contains(row, maximizer)
+        wants = [max(float(target.values @ p) for p in _row_vertices(row))]
         if values:
-            want = core._simplex_maximize(row, target)[0]
+            wants.append(core._simplex_maximize(row, target)[0])
+        for want in wants:
             assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
 
 
@@ -542,8 +546,9 @@ def _assert_matches_reference_simplex(a, b, c):
             lambda: reference_simplex_max(-c, a, b)
         )
     # On rows with float entries the simplex itself can stop off the optimum
-    # (see ``TestCompiledConstraintRows``), so values are compared on the
-    # integer rows there only.
+    # (see ``TestCompiledConstraintRows``), so a compiled row's value is
+    # compared with its brute-force vertices there, and with the simplex on
+    # the integer rows only.
     _assert_matches_simplex(row, c, values=False)
 
 
@@ -655,12 +660,15 @@ def _row_vertices(row):
     """Every vertex of a constraint row, by brute force over active sets: each
     choice of ``d - 1`` of the scaled inequalities and the bounds ``p >= 0``,
     held as equalities together with ``sum(p) = 1``, that has a unique
-    solution inside the row within 1e-9."""
+    solution inside the row within 1e-9.  An inequality whose scaled bound
+    overflowed to +inf never holds with equality."""
     d = row.dim
     lhs = np.vstack([row.scaled_a, -np.eye(d)])
     rhs = np.concatenate([row.scaled_b, np.zeros(d)])
     vertices = []
     for active in combinations(range(lhs.shape[0]), d - 1):
+        if not np.isfinite(rhs[list(active)]).all():
+            continue
         system = np.vstack([lhs[list(active)], np.ones(d)])
         if np.linalg.cond(system) > 1e8:
             continue
@@ -729,16 +737,25 @@ class TestCompiledConstraintRows:
     """A feasible constraint row with at most ``VERTEX_BASES_MAX`` candidate
     bases is solved over the vertex list it finds when it is built."""
 
+    @staticmethod
+    def _row_of_any_size(data):
+        # The list is found the same way under any basis limit; one that
+        # admits the 126 bases of d = 5, m = 4 lets the properties below
+        # reach every shape the strategy draws, not only those under
+        # ``VERTEX_BASES_MAX``.
+        with mock.patch.object(core, "VERTEX_BASES_MAX", 126):
+            return _small_integer_row(data)
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_matches_the_simplex(self, data):
-        row, c = _small_integer_row(data)
+        row, c = self._row_of_any_size(data)
         _assert_matches_simplex(row, c)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_vertices_are_the_brute_force_vertices(self, data):
-        row, _ = _small_integer_row(data)
+        row, _ = self._row_of_any_size(data)
         if row.vertices is None:
             return
         assert not row.vertices.flags.writeable
@@ -781,7 +798,9 @@ class TestCompiledConstraintRows:
             ([[1e-310, 0.0]], [-1.0]),  # b scales to -inf: infeasible
         ],
     )
-    def test_row_with_a_near_vertex_or_none_keeps_the_simplex(self, a, b):
+    def test_row_with_a_near_vertex_or_none_keeps_the_simplex(self, monkeypatch, a, b):
+        # Under any basis limit: the near-vertex row has 20 bases.
+        monkeypatch.setattr(core, "VERTEX_BASES_MAX", 126)
         row = ConstraintRow(a=a, b=b)
         assert row.vertices is None
         _assert_matches_simplex(row, np.arange(row.dim, dtype=float))

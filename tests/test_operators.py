@@ -309,11 +309,13 @@ class TestSortOnce:
         assert len(sorts) == math.ceil(d ** (n - 1) / (lp.CHUNK_ENTRIES // d))
 
 
-def _mixed_model(seed, d):
-    """Rows of all three kinds in turn, cheap enough for d**2 blocks."""
+def _mixed_model(
+    seed, d, makers=(random_interval_row, random_vertex_row, small_constraint_row)
+):
+    """Rows of all three kinds in turn, or of ``makers`` in turn, cheap
+    enough for d**2 blocks."""
     gen = np.random.default_rng(seed)
-    makers = (random_interval_row, random_vertex_row, small_constraint_row)
-    rows = tuple(makers[i % 3](gen, d) for i in range(d))
+    rows = tuple(makers[i % len(makers)](gen, d) for i in range(d))
     space = StateSpace(tuple(f"s{i}" for i in range(d)))
     return ImpreciseMarkovChain(states=space, initial=rows[0], rows=rows)
 
@@ -366,12 +368,16 @@ class TestChunkedContraction:
     )
     def test_sorts_only_for_interval_rows(self, monkeypatch, extended, kind, d):
         # Only ``IntervalRow._maximize`` reads an objective's order, so a
-        # model without an interval row sorts no block.  Constraint rows on
-        # three states are solved over their vertices, on six by the simplex.
+        # model without an interval row sorts no block.  Constraint rows of
+        # two inequalities on three states are solved over their vertices,
+        # on six by the simplex.
         if kind is None:
             model = _mixed_model(18, d)
         else:
-            model = random_model(np.random.default_rng(17), d, kinds=(kind,))
+            maker = {"constraints": small_constraint_row, "vertices": random_vertex_row}
+            model = _mixed_model(18, d, (maker[kind],))
+        if kind == "constraints":
+            assert all((row.vertices is not None) == (d == 3) for row in model.rows)
         hist = np.random.default_rng(19).normal(size=(d, d, d))
         want = extended(model, hist)
         sorts = []
