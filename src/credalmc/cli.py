@@ -190,6 +190,8 @@ def _row_fields(doc, where: str, dim: int) -> tuple:
             return key, ConstraintRow(a=a, b=np.array(b))
     except DocumentError:
         raise  # already names the field it is about
+    except NumericalError as exc:  # a constraint row's phase 1 broke down
+        raise NumericalError(f"{where}: {exc}") from exc
     except (ValueError, OverflowError) as exc:
         raise DocumentError(f"{where}: {exc}") from exc
     raise DocumentError(f"{where}: unknown row representation {key!r}")

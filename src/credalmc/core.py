@@ -22,13 +22,15 @@ Each row kind also owns its linear optimisation, ``_maximize(obj)``, which
 ``lp.maximize`` calls, and ``lp.minimize`` on the objective's negation: it
 maximises ``obj.values`` over the row, where ``obj`` is an ``lp.Objective``,
 and returns ``(value, maximizer, iterations)``.  Interval rows use the exact
-sorting solution, a vectorised greedy pour of the slack in the objective's
-stable order; vertex rows use direct enumeration; constraint rows run a dense
-two-phase simplex restricted to the probability simplex, or, when small,
-enumerate a vertex list found once.  The simplex lives here, next to
-``ConstraintRow``, which solves phase 1 once when it is built and keeps its
-start; each call runs phase 2 on a copy of that start, in plain Python floats
-(the tableaux are too small for numpy's per-operation overhead to pay off).
+sorting solution, a greedy pour of the slack in the objective's stable order,
+one plain-Python loop over inputs each row keeps as Python floats, which
+stops once the slack is spent; vertex rows use direct enumeration; constraint
+rows run a dense two-phase simplex restricted to the probability simplex, or,
+when small, enumerate a vertex list found once.  The simplex lives here, next
+to ``ConstraintRow``, which solves phase 1 once when it is built, checks that
+its start lies in the row and keeps it; each call runs phase 2 on a copy of
+that start, in plain Python floats.  The pour and the tableaux are too small
+for numpy's per-operation overhead to pay off.
 The simplex enters the column with the most negative reduced cost (Dantzig's
 rule) and falls back to Bland's smallest-index rule right after a degenerate
 pivot, which excludes cycling with fewer pivots than Bland's rule alone.  The
@@ -153,18 +155,21 @@ def _set_fields(row, values):
 
 
 def _interval_fields(lower: np.ndarray, upper: np.ndarray):
-    """The fields ``(lower, upper, supply, empty, violations, feasible)`` of k
+    """The fields ``(lower, upper, pour, empty, violations, feasible)`` of k
     interval rows, row by row, from frozen ``(k, d)`` bounds: views of the
-    bounds and of a frozen ``(k, d+1)`` supply array, a bool, a tuple of
-    messages and a bool (see ``IntervalRow``).  Each row's sums are the ones
+    bounds, a tuple of plain Python floats, a bool, a tuple of messages and a
+    bool (see ``IntervalRow``).  Each row's sums are the ones
     ``lower[i].sum()`` and ``upper[i].sum()`` give, bit for bit."""
+    k, d = lower.shape
     with np.errstate(over="ignore", invalid="ignore"):
         lower_sum = lower.sum(axis=1)
         upper_sum = upper.sum(axis=1)
-        supply = np.empty((lower.shape[0], lower.shape[1] + 1))
-        np.subtract(1.0, lower_sum, out=supply[:, 0])
-        np.maximum(upper - lower, 0.0, out=supply[:, 1:])
-    supply.flags.writeable = False
+        inputs = np.empty((k, 2 * d + 1))
+        np.subtract(1.0, lower_sum, out=inputs[:, 0])
+        np.maximum(upper - lower, 0.0, out=inputs[:, 1 : d + 1])
+    inputs[:, d + 1 :] = lower
+    pours = [(line[0], tuple(line[1 : d + 1]), tuple(line[d + 1 :]))
+             for line in inputs.tolist()]
     fails = np.array([
         (lower < -EPS_PROB).any(axis=1),
         (upper > 1.0 + EPS_PROB).any(axis=1),
@@ -175,7 +180,7 @@ def _interval_fields(lower: np.ndarray, upper: np.ndarray):
     empty = fails[2] | fails[3]
     # A NaN sum fails ``>=`` as it fails every rule: such a row is infeasible.
     feasible = ~empty & ~fails[0] & (upper_sum >= 1.0 - EPS_PROB)
-    violations = [()] * lower.shape[0]
+    violations = [()] * k
     for i in np.flatnonzero(fails.any(axis=0)).tolist():
         messages = (
             "negative lower bound",
@@ -185,7 +190,7 @@ def _interval_fields(lower: np.ndarray, upper: np.ndarray):
             f"sum of upper bounds is below 1 (sum={upper_sum[i]:.6g})",
         )
         violations[i] = tuple(m for m, fail in zip(messages, fails[:, i]) if fail)
-    return zip(lower, upper, supply, empty.tolist(), violations, feasible.tolist())
+    return zip(lower, upper, pours, empty.tolist(), violations, feasible.tolist())
 
 
 @dataclass(frozen=True)
@@ -197,20 +202,22 @@ class IntervalRow:
     built and reported.
 
     The bounds never change, so what is read from them later is computed
-    once here: ``supply`` is the frozen ``(d+1,)`` array of the slack ``1 -
-    sum(lower)`` followed by each state's headroom, ``upper - lower`` clipped
-    at 0; ``empty`` flags a row whose lower bounds exceed its upper bounds or
-    sum above 1; ``violations`` holds a message for each rule the row breaks
-    (lower >= 0, upper <= 1, lower <= upper, sum(lower) <= 1 <= sum(upper),
-    each within ``EPS_PROB``), ``()`` for a valid row; ``feasible`` flags a
-    row that holds a pmf: not empty, lower >= 0 and sum(upper) >= 1 (an upper
-    bound above 1 leaves it feasible).  A row built here is the k=1 case of
-    ``stack``: both run the same computation on ``(k, d)`` arrays.
+    once here: ``pour`` is ``(slack, headroom, lower)`` in plain Python
+    floats, the inputs of ``_maximize``: the slack ``1 - sum(lower)``, a
+    tuple of each state's headroom, ``upper - lower`` clipped at 0, and a
+    tuple of the lower bounds; ``empty`` flags a row whose lower bounds
+    exceed its upper bounds or sum above 1; ``violations`` holds a message
+    for each rule the row breaks (lower >= 0, upper <= 1, lower <= upper,
+    sum(lower) <= 1 <= sum(upper), each within ``EPS_PROB``), ``()`` for a
+    valid row; ``feasible`` flags a row that holds a pmf: not empty, lower >=
+    0 and sum(upper) >= 1 (an upper bound above 1 leaves it feasible).  A row
+    built here is the k=1 case of ``stack``: both run the same computation on
+    ``(k, d)`` arrays.
     """
 
     lower: np.ndarray
     upper: np.ndarray
-    supply: np.ndarray = field(init=False, repr=False, compare=False)
+    pour: tuple = field(init=False, repr=False, compare=False)
     empty: bool = field(init=False, repr=False, compare=False)
     violations: tuple = field(init=False, repr=False, compare=False)
     feasible: bool = field(init=False, repr=False, compare=False)
@@ -244,30 +251,37 @@ class IntervalRow:
 
     def _maximize(self, obj) -> tuple:
         """The exact sorting solution: start at the lower bounds, then pour
-        the slack into the states in decreasing objective order, each up to
-        its upper bound (see ``Objective.order``; the row's ``supply``
-        gathered in that order is the slack, then each state's headroom).
+        the slack into the states in decreasing objective order (see
+        ``Objective.order``), each up to its upper bound.
 
-        The running slack is subtracted in order, one state at a time,
-        exactly as a sequential loop would, so the result matches that loop
-        bit for bit.  Once the running slack is spent it is at most 0, and so
-        is every later ``add``, so no clip at 0 is needed.  Only states that
-        take mass are written, which keeps a lower bound of -0.0 as it is;
-        the iteration count is the number of states that took mass.
+        One plain-Python loop gives each state ``min(headroom, left)`` while
+        the running slack ``left`` is above 0, the sequential pour, so the
+        result matches it bit for bit.  The slack never grows, so the loop
+        stops at the first state where it is spent: no later state could
+        take mass.  A row still short of mass by more than ``EPS_FEAS`` can
+        only be found when the loop runs to the end.  Only states that take
+        mass are written, which keeps a lower bound of -0.0 as it is; the
+        iteration count is the number of states that took mass.
         """
         if self.empty:
             raise InfeasibleRowError("interval row is empty")
-        order, gather = obj.order()
-        seq = self.supply[gather]
-        left = np.subtract.accumulate(seq)
-        if left[-1] > EPS_FEAS:
-            raise InfeasibleRowError("interval row has total upper mass below 1")
-        add = np.minimum(seq[1:], left[:-1])
-        take = add > 0.0
-        states = order[take]
+        left, headroom, lower = self.pour
         p = self.lower.copy()
-        p[states] += add[take]
-        return float(obj.values.dot(p)), p, states.size
+        taken = 0
+        for i in obj.order():
+            if left <= 0.0:
+                break
+            add = headroom[i]
+            if add > 0.0:
+                if add > left:
+                    add = left
+                p[i] = lower[i] + add
+                left -= add
+                taken += 1
+        else:
+            if left > EPS_FEAS:
+                raise InfeasibleRowError("interval row has total upper mass below 1")
+        return float(obj.values.dot(p)), p, taken
 
 
 def _vertex_fields(block: np.ndarray, counts):
@@ -366,7 +380,9 @@ class ConstraintRow:
     Phase 1 of the simplex does not depend on the objective, so it is solved
     here, once: ``simplex_start`` is its tableau and basis, which every
     simplex call over the row starts from and never writes to, or ``None``
-    when no pmf satisfies the row.  An empty row can still be built and
+    when no pmf satisfies the row.  A row that keeps the simplex raises
+    ``NumericalError`` when that start misses the row by more than
+    ``EPS_FEAS`` (see ``_check_start``).  An empty row can still be built and
     reported: ``violations`` is then ``("constraint system admits no pmf",)``
     (``()`` otherwise) and ``feasible`` is ``False``.
 
@@ -375,7 +391,7 @@ class ConstraintRow:
     array of its vertices (see ``_find_vertices``), and every call takes the
     best of them, with 0 iterations, in place of phase 2.  ``vertices`` is
     ``None`` on a row that keeps the simplex; a row over the limit pays only
-    the comparison of its basis count.
+    the comparison of its basis count and the check of its start.
     """
 
     a: np.ndarray
@@ -410,7 +426,10 @@ class ConstraintRow:
         object.__setattr__(self, "simplex_start", start)
         m, d = a.shape
         compiled = start is not None and math.comb(m + d, d - 1) <= VERTEX_BASES_MAX
-        object.__setattr__(self, "vertices", _find_vertices(self) if compiled else None)
+        vertices = _find_vertices(self) if compiled else None
+        if start is not None and vertices is None:
+            _check_start(self, _basic_point(*start, d))
+        object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "violations", violations)
         object.__setattr__(self, "feasible", start is not None)
 
@@ -447,11 +466,42 @@ def _simplex_maximize(row: ConstraintRow, obj) -> tuple:
         _reduced_costs(tableau, [costs[k] if k < d else 0.0 for k in basis], costs)
     )
     iterations = _run_phase(tableau, basis)
+    p = _basic_point(tableau, basis, d)
+    return float(obj.values.dot(p)), p, iterations
+
+
+def _basic_point(tableau, basis, d: int) -> np.ndarray:
+    """The pmf of a simplex tableau: each basic structural column's
+    right-hand side, 0 elsewhere."""
     p = np.zeros(d)
     for i, k in enumerate(basis):
         if k < d:
             p[k] = tableau[i][-1]
-    return float(obj.values.dot(p)), p, iterations
+    return p
+
+
+def _check_start(row: ConstraintRow, p: np.ndarray) -> None:
+    """Raise ``NumericalError`` unless the phase-1 start ``p`` meets
+    ``p >= 0`` and the scaled inequalities within ``EPS_FEAS``.
+
+    Pivots on tiny entries of a badly scaled row can carry phase 1 out of
+    the row while its objective still reads feasible; every phase 2 would
+    then start, and may stop, outside the row, a silently wrong bound.  A
+    row accepted within ``EPS_FEAS`` passes: each artificial left in the
+    basis is at most that.  The sum is not tested: rounding in phase 1 can
+    leave it just over ``EPS_FEAS`` from 1 on a row it does not leave (a
+    d=10 row with a 1e-8 coefficient kept a start summing to 1 + 1.1e-8).
+    A NaN fails every comparison, so it raises too.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        inside = (p >= -EPS_FEAS).all() and (
+            row.scaled_a @ p <= row.scaled_b + EPS_FEAS
+        ).all()
+    if not inside:
+        raise NumericalError(
+            "phase 1 of the simplex left the constraint row: its start misses "
+            "the row by more than EPS_FEAS"
+        )
 
 
 def _find_vertices(row: ConstraintRow) -> np.ndarray | None:

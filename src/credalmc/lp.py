@@ -4,29 +4,30 @@ Every transition-operator evaluation reduces to one call of ``maximize`` (or
 its conjugate ``minimize``) on a single row.  The d rows of one transition
 share their objective, so the operators wrap the gamble once in an
 ``Objective``: it is checked once, and its negation and its stable sort
-order are computed on first use and kept for the other rows.  A history
-contraction has one objective per block instead, so ``Objective.blocks``
-prepares them in bulk: one negation for each chunk of ``CHUNK_ENTRIES``
-entries, plus one row-wise sort when a row reads the order, which then serve
-each block's single call.
+order, a list of Python ints, are computed on first use and kept for the
+other rows.  A history contraction has one objective per block instead, so
+``Objective.blocks`` prepares them in bulk: one negation for each chunk of
+``CHUNK_ENTRIES`` entries, plus one row-wise sort when a row reads the
+order, which then serve each block's single call.
 
 Each row kind solves one problem only, in its ``_maximize`` method in
 ``core``: it maximises ``obj.values`` over the row and returns a plain
 ``(value, maximizer, iterations)`` triple.  Interval rows pour the slack in
-the objective's order, vertex rows enumerate their vertices and constraint
-rows run phase 2 of the simplex, or, when the row is small enough to have
-found its vertex list when it was built, enumerate that list, with 0
-iterations.  Minimisation is the conjugate by
-construction: ``minimize`` runs the same method on the objective's kept
-``negation`` and negates the value, so the lower bound is minus the upper
-bound of the negated gamble, with the same maximizer and iteration count.
-A call is on the hot path of every transition, so its fixed cost is kept
-small: ``maximize`` or ``minimize`` looks the method up on the row, calls
-it, and wraps the triple once in ``LpResult``, a named tuple.  A row of no
-supported kind has no such method and raises ``TypeError``.  A vertex row's
-maximizer, and that of a constraint row solved over its vertex list, is a
-read-only view of the chosen row of ``vertices``, not a copy; the interval
-and simplex maximizers are fresh arrays.
+the objective's order, in a plain-Python loop that stops once the slack is
+spent; vertex rows enumerate their vertices; constraint rows run phase 2 of
+the simplex, or, when the row is small enough to have found its vertex list
+when it was built, enumerate that list, with 0 iterations.  Minimisation is
+the conjugate by construction: ``minimize`` runs the same method on the
+objective's kept ``negation`` and negates the value, so the lower bound is
+minus the upper bound of the negated gamble, with the same maximizer and
+iteration count.  A call is on the hot path of every transition, so its
+fixed cost is kept small: ``maximize`` or ``minimize`` looks the method up
+on the row, calls it, and wraps the triple once in ``LpResult``, a named
+tuple.  A row of no supported kind has no such method and raises
+``TypeError``.  A vertex row's maximizer, and that of a constraint row
+solved over its vertex list, is a read-only view of the chosen row of
+``vertices``, not a copy; the interval and simplex maximizers are fresh
+arrays.
 """
 
 from __future__ import annotations
@@ -38,11 +39,13 @@ import numpy as np
 from .core import CredalRow, as_vector
 
 # Entries of a block array that ``Objective.blocks`` prepares at a time.  The
-# negation, the orders and the gather indices it keeps for a chunk are about
-# three times the chunk, and two chunks' worth is alive while the caller still
-# holds the last block of one and the next is prepared: 2**12 entries keep
-# that near 200 kB, where a whole d=50, n=3 history would need 3 MB.  Each
-# chunk costs a few numpy calls, under 0.2 µs a block at 81 blocks of 50.
+# negation and the orders it keeps for a chunk, each order a list of Python
+# ints, are two (d=50) to five (d=3) times the chunk, as a list's header
+# outweighs a short row; two chunks' worth is alive while the caller still
+# holds the last block of one and the next is prepared.  Measured with
+# ``tracemalloc``, a whole contraction peaks at 250 kB on a d=50, n=3
+# history of 1 MB, whose set-up at once would need about 3 MB, and at 100 kB
+# at d=3, n=7.  Each chunk costs a few numpy calls and one ``tolist``.
 CHUNK_ENTRIES = 2**12
 
 
@@ -114,9 +117,10 @@ class Objective:
         values of each objective and of its ``negation`` are read-only views
         of rows of the chunk and of its negation, not copies.  When
         ``ordered``, the array the negation reads is also sorted once,
-        row-wise and stably, into every objective's ``order()``; otherwise
-        ``order()`` is left to compute itself on first use.  Both give the
-        bits that ``Objective(row)`` computes itself: ``-(-x)`` is ``x``.
+        row-wise and stably, and turned into lists with one ``tolist``, each
+        objective's ``order()``; otherwise ``order()`` is left to compute
+        itself on first use.  Both give the bits that ``Objective(row)``
+        computes itself: ``-(-x)`` is ``x``.
         """
         d = array.shape[1]
         step = max(1, CHUNK_ENTRIES // d)
@@ -128,10 +132,7 @@ class Objective:
             negated.flags.writeable = False
             values, keys = (negated, chunk) if negate else (chunk, negated)
             if ordered:
-                orders = np.argsort(keys, axis=1, kind="stable")
-                gathers = np.zeros((orders.shape[0], d + 1), dtype=orders.dtype)
-                np.add(orders, 1, out=gathers[:, 1:])
-                prepared = zip(orders, gathers)
+                prepared = np.argsort(keys, axis=1, kind="stable").tolist()
             else:
                 prepared = [None] * len(values)
             for row, key, order in zip(values, keys, prepared):
@@ -148,16 +149,14 @@ class Objective:
             self._negation = Objective(-self.values)
         return self._negation
 
-    def order(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(order, gather)``: the states by decreasing ``values``, ties by
-        ascending index, and ``[0, *(order + 1)]``, the index that
-        ``IntervalRow._maximize`` reads its supply with.
+    def order(self) -> list[int]:
+        """The states by decreasing ``values``, ties by ascending index, as a
+        list of Python ints, which ``IntervalRow._maximize`` walks.
 
         The order is the stable argsort of ``-values``.  On a negation that
         is ``-(-values)``, which is ``values`` bit for bit."""
         if self._order is None:
-            order = np.argsort(-self.values, kind="stable")
-            self._order = (order, np.concatenate(([0], order + 1)))
+            self._order = np.argsort(-self.values, kind="stable").tolist()
         return self._order
 
 

@@ -67,9 +67,9 @@ def _contract(
     if not np.isfinite(blocks).all():
         raise ValueError("objective contains non-finite entries")
     # Each block is its own objective, so its negation and sort are done in
-    # bulk, a chunk of blocks at a time: the set-up kept for a chunk is about
-    # three times the chunk, and a whole history would need three times the
-    # history.  Only interval rows read the sort, so a model without one
+    # bulk, a chunk of blocks at a time: the set-up kept for a chunk is two
+    # to five times the chunk, and a whole history would need that many times
+    # the history.  Only interval rows read the sort, so a model without one
     # skips it.  Each block still costs one ``maximize`` call, looked up here
     # so that a wrapper set on this module sees every block.  The lower
     # contraction maximises the negated blocks and negates the maxima.

@@ -36,6 +36,18 @@ E1_ROW_S1 = IntervalRow(lower=[0.4, 0.4], upper=[0.6, 0.6])
 E1_INITIAL = IntervalRow(lower=[0.5, 0.2], upper=[0.8, 0.5])
 
 
+# A constraint row on which phase 1 of the simplex pivots on the scaled entry
+# 1.25e-8, grows tableau entries of 8e7 and keeps the start p = [1.028,
+# -0.028], outside the row.  It has C(6, 1) = 6 candidate bases, so it is
+# solved over its vertex list; padded with five inequalities 0·p <= 1 it has
+# C(11, 1) = 11 and keeps the simplex.
+BREAKDOWN_A = [[2.5e-08, -2.0], [-1.0, -2.0], [1.486243791690777, 0.0],
+               [2.0, 2.6237412236282402]]
+BREAKDOWN_B = [1e-09, 0.0, 1.5272352896160752, 2.7306097113498335]
+BREAKDOWN_A_PADDED = BREAKDOWN_A + [[0.0, 0.0]] * 5
+BREAKDOWN_B_PADDED = BREAKDOWN_B + [1.0] * 5
+
+
 def e1_model(initial="spec") -> ImpreciseMarkovChain:
     if initial == "spec":
         init = E1_INITIAL
@@ -252,9 +264,9 @@ def reference_pour(row: IntervalRow, order):
     remaining mass into the states in ``order``, one at a time, each up to its
     upper bound.  Returns the pmf and the number of states that took mass.
 
-    This is the scalar loop the vectorised ``IntervalRow._maximize``
-    replaced; it reads only ``lower`` and ``upper``, none of the cached row
-    invariants.
+    ``IntervalRow._maximize`` runs this loop on the row's kept inputs, and
+    stops it before the first state the spent slack reaches; this one
+    reads only ``lower`` and ``upper``, none of the cached row invariants.
     """
     p = np.array(row.lower, copy=True)
     remaining = 1.0 - float(p.sum())

@@ -176,13 +176,18 @@ class TestStackedRows:
     def test_rows_are_views_of_shared_frozen_arrays(self):
         rows = IntervalRow.stack([[0.2, 0.3], [0.1, 0.1]], [[0.7, 0.8], [0.9, 0.9]])
         assert rows[0].lower.base is rows[1].lower.base
-        assert rows[0].supply.base is rows[1].supply.base
         vertex_rows = VertexRow.stack([[[1.0, 0.0]], [[0.5, 0.5], [0.0, 1.0]]])
         assert vertex_rows[0].vertices.base is vertex_rows[1].vertices.base
         assert [row.vertices.shape for row in vertex_rows] == [(1, 2), (2, 2)]
         for row in rows:
-            for arr in (row.lower, row.upper, row.supply):
+            for arr in (row.lower, row.upper):
                 assert not arr.flags.writeable
+            # The pour's inputs are plain Python floats, in immutable tuples.
+            slack, headroom, lower = row.pour
+            assert {type(x) for x in (slack, *headroom, *lower)} == {float}
+            assert slack == 1.0 - row.lower.sum()
+            assert headroom == tuple(np.maximum(row.upper - row.lower, 0.0))
+            assert lower == tuple(row.lower)
         assert not vertex_rows[1].vertices.flags.writeable
 
     def test_stack_rejects_bad_arrays(self):

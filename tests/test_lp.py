@@ -24,6 +24,10 @@ from credalmc import (
 from credalmc import core, lp
 from credalmc.core import EPS_FEAS, EPS_PROB
 from helpers import (
+    BREAKDOWN_A,
+    BREAKDOWN_A_PADDED,
+    BREAKDOWN_B,
+    BREAKDOWN_B_PADDED,
     expectation,
     interval_to_constraints,
     interval_witness,
@@ -423,6 +427,21 @@ class TestIntervalKernelMatchesReferenceGreedy:
             ([0.3], [1.0], [-2.0]),  # d = 1
             ([1.0], [1.0], [5.0]),
             ([-0.0, 0.2], [0.0, 0.9], [1.0, 2.0]),  # a signed zero bound
+            # The pour stops once the slack is spent.  The slack 0.5 runs out
+            # exactly at the first state, before three that have headroom.
+            ([0.25, 0.25, 0.0, 0.0], [0.5, 0.5, 0.5, 0.5], [1.0, 2.0, 3.0, 4.0]),
+            # sum(lower) = 1 + 1e-12: the slack is below 0 from the start,
+            # so no state takes mass, not even a negative share.
+            ([0.5, 0.5 + 1e-12, 0.0], [0.9, 0.9, 0.9], [1.0, 2.0, 3.0]),
+            # Zero headroom before the stop (state 0) and after it (2, 4).
+            ([0.0, 0.25, 0.25, 0.0, 0.25], [0.0, 0.5, 0.25, 0.5, 0.25],
+             [5.0, 4.0, 3.0, 2.0, 1.0]),
+            # -0.0 lower bounds on states the pour never reaches.
+            ([-0.0, 0.5, -0.0, -0.0], [1.0, 1.0, 1.0, 0.0], [1.0, 3.0, 2.0, 4.0]),
+            # Short of mass by EPS_FEAS, on the boundary of the raise, and
+            # by 2·EPS_FEAS, which raises.
+            ([0.0, 0.0], [0.5, 0.5 - EPS_FEAS], [1.0, 2.0]),
+            ([0.0, 0.0], [0.5, 0.5 - 2.0 * EPS_FEAS], [2.0, 1.0]),
         ],
     )
     def test_edge_cases(self, lower, upper, c):
@@ -843,17 +862,20 @@ class TestCompiledConstraintRows:
         # entries of 8e7, and the start it keeps is p = [1.028, -0.028],
         # outside the row: the simplex answers 2.083 > max(c).  The vertex
         # list answers within the row.
-        row = ConstraintRow(
-            a=[[2.5e-08, -2.0], [-1.0, -2.0], [1.486243791690777, 0.0],
-               [2.0, 2.6237412236282402]],
-            b=[1e-09, 0.0, 1.5272352896160752, 2.7306097113498335],
-        )
+        row = ConstraintRow(a=BREAKDOWN_A, b=BREAKDOWN_B)
         assert row.vertices is not None
         c = np.array([2.0, -1.0])
         res = maximize(row, c)
         assert row_contains(row, res.maximizer)
         assert res.value == max(float(c @ p) for p in _row_vertices(row))
         assert res.value == pytest.approx(2.0, abs=1e-7)
+
+    def test_row_whose_phase_one_leaves_it_raises(self):
+        # Padded, the same row keeps the simplex, whose kept start lies
+        # outside it: phase 2 from there answered 2.083 > max(c) for c =
+        # [2, -1], with a maximizer outside the row.  Building it raises.
+        with pytest.raises(NumericalError, match="^phase 1 of the simplex left"):
+            ConstraintRow(a=BREAKDOWN_A_PADDED, b=BREAKDOWN_B_PADDED)
 
     def test_maximizer_is_a_read_only_view_of_a_vertex(self):
         row = ConstraintRow(a=[[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]], b=[0.7, -0.2])

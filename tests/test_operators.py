@@ -346,8 +346,8 @@ class TestChunkedContraction:
     @pytest.mark.parametrize("extended", [extended_upper, extended_lower])
     def test_peak_memory_below_the_history(self, extended):
         # The shape of the interval-wide benchmark's cross-check: d=50, n=3.
-        # Negation, orders and gathers of the whole history would take about
-        # three times its size; a chunk at a time takes a small fraction.  So
+        # Negation and orders of the whole history would take two or more
+        # times its size; a chunk at a time takes a small fraction.  So
         # the lower step negates a chunk at a time too: negating the whole
         # history first would take its size on its own.
         d = 50
