@@ -6,9 +6,11 @@ share their objective, so the operators wrap the gamble once in an
 ``Objective``: it is checked once, and its negation and its stable sort
 order, a list of Python ints, are computed on first use and kept for the
 other rows.  A history contraction has one objective per block instead, so
-``Objective.blocks`` prepares them in bulk: one negation for each chunk of
-``CHUNK_ENTRIES`` entries, plus one row-wise sort when a row reads the
-order, which then serve each block's single call.
+``Objective.blocks`` prepares them in bulk, a chunk of ``CHUNK_ENTRIES``
+entries at a time: one object per block, over a view of the chunk (or of
+its one negation, for the lower contraction), plus one row-wise sort when a
+row reads the order.  A block's own negation is left to the ``negation``
+property, which only simplex rows read inside a contraction.
 
 Each row kind solves one problem only, in its ``_maximize`` method in
 ``core``: it maximises ``obj.values`` over the row and returns a plain
@@ -20,10 +22,14 @@ when it was built, enumerate that list, with 0 iterations.  Minimisation is
 the conjugate by construction: ``minimize`` runs the same method on the
 objective's kept ``negation`` and negates the value, so the lower bound is
 minus the upper bound of the negated gamble, with the same maximizer and
-iteration count.  A call is on the hot path of every transition, so its
-fixed cost is kept small: ``maximize`` or ``minimize`` looks the method up
-on the row, calls it, and wraps the triple once in ``LpResult``, a named
-tuple.  A row of no supported kind has no such method and raises
+iteration count.  A call is on the hot path of every transition and of
+every contraction block, so its fixed cost is kept small: ``maximize`` or
+``minimize`` takes an ``Objective`` as it is once its length matches the
+row, looks the method up on the row once, calls it, and builds the
+``LpResult``, a named tuple, straight from the triple with
+``tuple.__new__``.  Any other objective, or one of the wrong length, goes
+through ``Objective.checked``, so the messages and their order are those of
+``as_vector``.  A row of no supported kind has no such method and raises
 ``TypeError``.  A vertex row's maximizer, and that of a constraint row
 solved over its vertex list, is a read-only view of the chosen row of
 ``vertices``, not a copy; the interval and simplex maximizers are fresh
@@ -39,13 +45,14 @@ import numpy as np
 from .core import CredalRow, as_vector
 
 # Entries of a block array that ``Objective.blocks`` prepares at a time.  The
-# negation and the orders it keeps for a chunk, each order a list of Python
-# ints, are two (d=50) to five (d=3) times the chunk, as a list's header
-# outweighs a short row; two chunks' worth is alive while the caller still
-# holds the last block of one and the next is prepared.  Measured with
-# ``tracemalloc``, a whole contraction peaks at 250 kB on a d=50, n=3
-# history of 1 MB, whose set-up at once would need about 3 MB, and at 100 kB
-# at d=3, n=7.  Each chunk costs a few numpy calls and one ``tolist``.
+# orders it keeps for a chunk, each a list of Python ints, and the chunk's
+# negation in the lower contraction, are two (d=50) to five (d=3) times the
+# chunk, as a list's header outweighs a short row; two chunks' worth is alive
+# while the caller still holds the last block of one and the next is
+# prepared.  Measured with ``tracemalloc``, a whole contraction of interval
+# rows peaks at 215 kB (upper) and 250 kB (lower) on a d=50, n=3 history of
+# 1 MB, whose set-up at once would need about 3 MB, and at 100 kB at d=3,
+# n=7.  Each chunk costs a few numpy calls and one ``tolist``.
 CHUNK_ENTRIES = 2**12
 
 
@@ -58,6 +65,11 @@ class LpResult(NamedTuple):
     value: float
     maximizer: np.ndarray
     iterations: int
+
+
+# Builds an ``LpResult`` from a triple without the named tuple's own
+# Python-level ``__new__``, one frame less on every call.
+_new_tuple = tuple.__new__
 
 
 class LpCounter:
@@ -80,8 +92,9 @@ class Objective:
     passed ``as_vector``, or one per block with ``Objective.blocks``.  Its
     ``negation``, an ``Objective`` of ``-values``, and its ``order()`` are
     computed on first use and kept, so every row after the first reuses
-    them.  The negation holds no reference back, so dropping an objective
-    frees both at once.  The rows' ``_maximize`` methods in ``core`` read
+    them, and an objective whose negation no row reads never builds it.
+    The negation holds no reference back, so dropping an objective frees
+    both at once.  The rows' ``_maximize`` methods in ``core`` read
     ``values``, ``order()`` and ``negation`` only.
     """
 
@@ -113,14 +126,15 @@ class Objective:
         negation.
 
         The rows are taken a chunk of at most ``CHUNK_ENTRIES`` entries (at
-        least one row) at a time.  Each chunk is negated once, and the
-        values of each objective and of its ``negation`` are read-only views
-        of rows of the chunk and of its negation, not copies.  When
-        ``ordered``, the array the negation reads is also sorted once,
-        row-wise and stably, and turned into lists with one ``tolist``, each
-        objective's ``order()``; otherwise ``order()`` is left to compute
-        itself on first use.  Both give the bits that ``Objective(row)``
-        computes itself: ``-(-x)`` is ``x``.
+        least one row) at a time, and each objective's values are a
+        read-only view of a row of the chunk or, when ``negate``, of the
+        chunk's one negation, not a copy.  When ``ordered``, the negation of
+        the values is sorted once per chunk, row-wise and stably, and turned
+        into lists with one ``tolist``, each objective's ``order()``;
+        otherwise ``order()`` is left to compute itself on first use.  No
+        objective's ``negation`` is built here: the property builds it from
+        ``-values`` when a row first reads it.  Each gives the bits that
+        ``Objective(row)`` computes itself: ``-(-x)`` is ``x``.
         """
         d = array.shape[1]
         step = max(1, CHUNK_ENTRIES // d)
@@ -128,18 +142,18 @@ class Objective:
         for start in range(0, array.shape[0], step):
             chunk = array[start : start + step]
             chunk.flags.writeable = False
-            negated = -chunk
-            negated.flags.writeable = False
-            values, keys = (negated, chunk) if negate else (chunk, negated)
+            values = -chunk if negate else chunk
+            values.flags.writeable = False
             if ordered:
+                # ``order()`` sorts ``-values``, which is the chunk itself
+                # when the values are its negation.
+                keys = chunk if negate else -chunk
                 prepared = np.argsort(keys, axis=1, kind="stable").tolist()
             else:
                 prepared = [None] * len(values)
-            for row, key, order in zip(values, keys, prepared):
-                negation = new(cls)
-                negation.values, negation._negation, negation._order = key, None, None
+            for row, order in zip(values, prepared):
                 obj = new(cls)
-                obj.values, obj._negation, obj._order = row, negation, order
+                obj.values, obj._negation, obj._order = row, None, order
                 yield obj
 
     @property
@@ -172,13 +186,14 @@ def maximize(row: CredalRow, objective, counter: LpCounter | None = None) -> LpR
     """
     if counter is not None:
         counter.calls += 1
-    obj = Objective.checked(objective, row.dim)
+    size = row.dim
+    if type(objective) is not Objective or objective.values.size != size:
+        objective = Objective.checked(objective, size)
     try:
         solve = row._maximize
     except AttributeError:
         raise TypeError(f"unsupported credal row type {type(row).__name__}") from None
-    value, maximizer, iterations = solve(obj)
-    return LpResult(value, maximizer, iterations)
+    return _new_tuple(LpResult, solve(objective))
 
 
 def minimize(row: CredalRow, objective, counter: LpCounter | None = None) -> LpResult:
@@ -187,10 +202,12 @@ def minimize(row: CredalRow, objective, counter: LpCounter | None = None) -> LpR
     maximizer and iteration count."""
     if counter is not None:
         counter.calls += 1
-    obj = Objective.checked(objective, row.dim).negation
+    size = row.dim
+    if type(objective) is not Objective or objective.values.size != size:
+        objective = Objective.checked(objective, size)
     try:
         solve = row._maximize
     except AttributeError:
         raise TypeError(f"unsupported credal row type {type(row).__name__}") from None
-    value, maximizer, iterations = solve(obj)
-    return LpResult(-value, maximizer, iterations)
+    value, maximizer, iterations = solve(objective.negation)
+    return _new_tuple(LpResult, (-value, maximizer, iterations))

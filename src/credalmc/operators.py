@@ -10,6 +10,8 @@ state count, whose entry ``hist[x1, ..., xn]`` is its value on that path.
 
 from __future__ import annotations
 
+from itertools import cycle
+
 import numpy as np
 
 from .core import ImpreciseMarkovChain, IntervalRow
@@ -25,11 +27,9 @@ def _optimise_blocks(
     ``optimise`` is ``maximize`` or ``minimize``; every block costs exactly
     one row optimisation.
     """
-    rows = model.rows
-    d = len(rows)
-    return np.array(
-        [optimise(rows[i % d], block, counter).value for i, block in enumerate(blocks)]
-    )
+    pairs = zip(cycle(model.rows), blocks)
+    # Index 0 of the ``LpResult`` is its value, read without the field lookup.
+    return np.array([optimise(row, block, counter)[0] for row, block in pairs])
 
 
 def upper_transition(
@@ -66,13 +66,15 @@ def _contract(
     blocks = np.asarray(hist.reshape(-1, d), dtype=float)
     if not np.isfinite(blocks).all():
         raise ValueError("objective contains non-finite entries")
-    # Each block is its own objective, so its negation and sort are done in
-    # bulk, a chunk of blocks at a time: the set-up kept for a chunk is two
-    # to five times the chunk, and a whole history would need that many times
-    # the history.  Only interval rows read the sort, so a model without one
-    # skips it.  Each block still costs one ``maximize`` call, looked up here
-    # so that a wrapper set on this module sees every block.  The lower
-    # contraction maximises the negated blocks and negates the maxima.
+    # Each block is its own objective, so its sort is done in bulk, a chunk
+    # of blocks at a time: the set-up kept for a chunk is two to five times
+    # the chunk, and a whole history would need that many times the history.
+    # Only interval rows read the sort, so a model without one skips it, and
+    # only simplex rows read a block's negation, which is built on that read.
+    # Each block still costs one ``maximize`` call, looked up here so that a
+    # wrapper set on this module sees every block.  The lower contraction
+    # maximises the negated blocks, a chunk negated at a time, and negates
+    # the maxima.
     ordered = any(isinstance(row, IntervalRow) for row in model.rows)
     objectives = Objective.blocks(blocks, negate, ordered)
     out = _optimise_blocks(model, objectives, maximize, counter)

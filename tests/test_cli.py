@@ -16,6 +16,7 @@ from credalmc import (
     StateSpace,
     VertexRow,
     cli,
+    core,
     validate_model,
 )
 from credalmc.cli import (
@@ -548,6 +549,46 @@ class TestCheckCommand:
         assert doc["engine"]["lp_calls"] == 8
         assert doc["oracle"]["lp_calls"] == 12
 
+    @pytest.mark.parametrize("query, n", [
+        ("query_mixed_product_n4.json", 4),
+        ("query_mixed_hitting_time_n3.json", 3),
+    ])
+    def test_mixed_model_agrees_on_every_row_kind(
+        self, capsys, monkeypatch, query, n
+    ):
+        # One interval, one vertex and one constraint row; the constraint row
+        # has C(6, 2) = 15 bases, over the vertex-list limit, so it keeps the
+        # simplex, which reads each block's negation inside the contraction.
+        rows = parse_model(json.loads(Path(MODEL_MIXED).read_text())).rows
+        assert [type(row) for row in rows] == [IntervalRow, VertexRow, ConstraintRow]
+        assert rows[2].vertices is None
+        simplex_calls = []
+        simplex = core._simplex_maximize
+
+        def counted(row, obj):
+            simplex_calls.append(row)
+            return simplex(row, obj)
+
+        monkeypatch.setattr(core, "_simplex_maximize", counted)
+        path = str(DATA / query)
+        code, out, err = run(capsys, "check", MODEL_MIXED, path)
+        assert (code, err) == (0, "")
+        checked = json.loads(out)
+        assert checked["agree"] is True
+        assert checked["max_discrepancy"] < 1e-12
+        assert checked["engine"]["lp_calls"] == 2 * (n - 1) * 3
+        assert checked["oracle"]["lp_calls"] == 2 * sum(3**i for i in range(1, n))
+        # A third of the engine's and the oracle's calls are on row c.
+        assert len(simplex_calls) == checked["engine"]["lp_calls"] // 3 + (
+            checked["oracle"]["lp_calls"] // 3
+        )
+        code, out, err = run(capsys, "infer", MODEL_MIXED, path)
+        assert (code, err) == (0, "")
+        inferred = json.loads(out)
+        assert inferred["conditional"] == checked["engine"]["conditional"]
+        # infer adds the two optimisations over the initial set.
+        assert inferred["lp_calls"] == checked["engine"]["lp_calls"] + 2
+
     def test_oracle_cap_exceeded(self, tmp_path, capsys):
         # 2**24 entries are just over the fixed cap of 1e7.
         q = tmp_path / "query.json"
@@ -659,8 +700,14 @@ class TestDocuments:
         monkeypatch.setattr(IntervalRow, "_maximize", reference)
         assert [run(capsys, *argv) for argv in runs] == ours
         assert calls
-        # Most runs answer, on both models with interval rows, in both commands.
-        assert sum(code == 0 for code, _, _ in ours) >= 20
+        # 26 of the 72 runs answer, on every model with interval rows (the
+        # mixed model on its own queries), in both commands.
+        answered = [argv for argv, (code, _, _) in zip(runs, ours) if code == 0]
+        assert len(answered) >= 26
+        assert {m for _, m, _ in answered} == {str(m) for m in models} - {
+            str(DATA / "model_bad.json")
+        }
+        assert {c for c, _, _ in answered} == {"infer", "check"}
 
     def test_model_round_trip(self):
         for path in (MODEL, MODEL_MIXED):

@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from itertools import combinations
 from unittest import mock
 
@@ -16,6 +16,8 @@ from credalmc import (
     NumericalError,
     StateSpace,
     VertexRow,
+    extended_lower,
+    extended_upper,
     maximize,
     minimize,
     row_contains,
@@ -35,6 +37,7 @@ from helpers import (
     random_constraint_row,
     random_interval_bounds,
     random_interval_row,
+    random_model,
     random_row,
     random_vertex_row,
     reference_interval_maximize,
@@ -988,6 +991,22 @@ class TestSharedObjective:
             assert str(shared.value) == str(plain.value)
             assert str(plain.value) == "objective has length 3, expected 2"
 
+    @pytest.mark.parametrize("c, message", [
+        ([np.nan], "objective has length 1, expected 2"),
+        ([1.0, np.inf, 0.0], "objective has length 3, expected 2"),
+        ([[np.nan, 1.0]], "objective must be one-dimensional, got shape (1, 2)"),
+        ([1.0, np.nan], "objective contains non-finite entries"),
+    ])
+    def test_plain_vector_messages_keep_their_order(self, c, message):
+        # Shape, then length, then finiteness, on every row kind.
+        rows = [E1_ROW, VertexRow(vertices=[[0.2, 0.8]]),
+                interval_to_constraints(E1_ROW.lower, E1_ROW.upper)]
+        for row in rows:
+            for optimise in (maximize, minimize):
+                with pytest.raises(ValueError) as raised:
+                    optimise(row, c)
+                assert str(raised.value) == message
+
     def test_values_are_a_read_only_view(self):
         c = np.array([0.0, 1.0])
         shared = lp.Objective.checked(c)
@@ -997,11 +1016,13 @@ class TestSharedObjective:
 
 
 class TestChunkedObjectives:
-    """``Objective.blocks`` negates a chunk of blocks at a time, and sorts it
-    when asked to; each block's objective, over the block or its negation,
-    sorted in bulk or not, gives on every row kind what a fresh
+    """``Objective.blocks`` takes a chunk of blocks at a time, negates it for
+    the lower contraction, and sorts it when asked to; each block's
+    objective, over the block or its negation, sorted in bulk or not, gives
+    on every row kind and in both directions what a fresh
     ``Objective(block)`` or ``Objective(-block)`` gives, bit for bit, on
-    either side of every chunk boundary."""
+    either side of every chunk boundary.  Its own negation is built only
+    when it is read."""
 
     # Few distinct entries, -0.0 beside 0.0 among them, so blocks have ties.
     _POOL = np.array([-2.0, -1.0, -0.3, -0.0, 0.0, 0.5, 1.0, 1.7, 2.0])
@@ -1043,18 +1064,66 @@ class TestChunkedObjectives:
         )
         rows = [self._row(kind, gen, d) for _ in range(3)]
 
-        def via(objective, row):
-            res = maximize(row, objective)
+        def via(optimise, objective, row):
+            res = optimise(row, objective)
             return res.value, res.maximizer, res.iterations
 
         prepared = list(lp.Objective.blocks(blocks, negate, ordered))
         assert len(prepared) == k
         for i, (obj, block) in enumerate(zip(prepared, blocks)):
             row = rows[i % 3]
-            fresh = -block if negate else block.copy()
-            assert _outcome(lambda: via(obj, row)) == _outcome(
-                lambda: via(lp.Objective(fresh), row)
-            )
+            fresh = lp.Objective(-block if negate else block.copy())
+            # Either direction may come first: the one that reads the
+            # negation or the order builds it for the other.
+            directions = (maximize, minimize) if i % 2 else (minimize, maximize)
+            for optimise in directions:
+                assert _outcome(lambda: via(optimise, obj, row)) == _outcome(
+                    lambda: via(optimise, fresh, row)
+                )
+            assert obj.negation.values.tobytes() == (-fresh.values).tobytes()
+
+    @pytest.mark.parametrize("negate", [False, True])
+    @pytest.mark.parametrize("ordered", [False, True])
+    def test_negation_is_built_when_first_read(self, negate, ordered):
+        blocks = np.arange(24.0).reshape(8, 3) - 7.0
+        prepared = list(lp.Objective.blocks(blocks, negate, ordered))
+        assert all(obj._negation is None for obj in prepared)
+        # Interval and vertex rows maximise ``values`` and never read it.
+        rows = [IntervalRow(lower=[0.1, 0.2, 0.3], upper=[0.5, 0.6, 0.7]),
+                VertexRow(vertices=[[0.2, 0.3, 0.5], [0.6, 0.2, 0.2]])]
+        for obj, row in zip(prepared, rows * 4):
+            maximize(row, obj)
+        assert all(obj._negation is None for obj in prepared)
+        first = prepared[0].negation
+        assert prepared[0].negation is first
+        assert first.values.tobytes() == (-prepared[0].values).tobytes()
+        assert all(obj._negation is None for obj in prepared[1:])
+
+    def test_contraction_without_simplex_rows_builds_no_negation(self, monkeypatch):
+        # Only a simplex row reads a block's negation in a contraction, and
+        # that read builds it.
+        built = []
+        negation = lp.Objective.negation
+
+        def counted(obj):
+            if obj._negation is None:
+                built.append(obj)
+            return negation.fget(obj)
+
+        monkeypatch.setattr(lp.Objective, "negation", property(counted))
+        gen = np.random.default_rng(23)
+        model = random_model(gen, 3, kinds=("intervals", "vertices"))
+        hist = gen.normal(size=(3, 3, 3))
+        for contract in (extended_upper, extended_lower):
+            contract(model, hist)
+        assert built == []
+        rows = list(model.rows)
+        # 15 candidate bases, over the vertex-list limit: it keeps the simplex.
+        rows[1] = ConstraintRow(a=[[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                                b=[0.7, -0.3, 0.5])
+        assert rows[1].vertices is None
+        extended_lower(replace(model, rows=tuple(rows)), hist)
+        assert len(built) == 3
 
     def test_blocks_are_read_only_views(self):
         blocks = np.arange(12.0).reshape(4, 3)
