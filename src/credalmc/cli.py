@@ -365,7 +365,7 @@ def _format_number(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     value = float(x)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise NumericalError(f"cannot serialise non-finite value {value}")
     return format(value, ".17g")
 

@@ -28,9 +28,13 @@ stops once the slack is spent; vertex rows use direct enumeration; constraint
 rows run a dense two-phase simplex restricted to the probability simplex, or,
 when small, enumerate a vertex list found once.  The simplex lives here, next
 to ``ConstraintRow``, which solves phase 1 once when it is built, checks that
-its start lies in the row and keeps it; each call runs phase 2 on a copy of
-that start, in plain Python floats.  The pour and the tableaux are too small
-for numpy's per-operation overhead to pay off.
+its start lies in the row and keeps it; each call runs phase 2 from that
+start, which it only reads, in plain Python floats.  A pivot updates in full
+only the pivot row, the reduced-cost row and the right-hand side; every
+other row catches up on the pivots it missed when it is read, entry by entry
+in a ratio test or in full as a pivot row, with the same steps in the same
+order, so every bit is that of a tableau updated in full.  The pour and the
+tableaux are too small for numpy's per-operation overhead to pay off.
 The simplex enters the column with the most negative reduced cost (Dantzig's
 rule) and falls back to Bland's smallest-index rule right after a degenerate
 pivot, which excludes cycling with fewer pivots than Bland's rule alone.  The
@@ -378,13 +382,14 @@ class ConstraintRow:
     units; the simplex and ``row_contains`` both work on them.
 
     Phase 1 of the simplex does not depend on the objective, so it is solved
-    here, once: ``simplex_start`` is its tableau and basis, which every
-    simplex call over the row starts from and never writes to, or ``None``
-    when no pmf satisfies the row.  A row that keeps the simplex raises
-    ``NumericalError`` when that start misses the row by more than
-    ``EPS_FEAS`` (see ``_check_start``).  An empty row can still be built and
-    reported: ``violations`` is then ``("constraint system admits no pmf",)``
-    (``()`` otherwise) and ``feasible`` is ``False``.
+    here, once: ``simplex_start`` is its tableau, with every row brought up
+    to date, and basis, which every simplex call over the row starts from
+    and never writes to, or ``None`` when no pmf satisfies the row.  A row
+    that keeps the simplex raises ``NumericalError`` when that start misses
+    the row by more than ``EPS_FEAS`` (see ``_check_start``).  An empty row
+    can still be built and reported: ``violations`` is then ``("constraint
+    system admits no pmf",)`` (``()`` otherwise) and ``feasible`` is
+    ``False``.
 
     A feasible row with at most ``VERTEX_BASES_MAX`` candidate bases, C(m+d,
     d-1), is compiled here as well: ``vertices`` is the frozen ``(k, d)``
@@ -408,7 +413,7 @@ class ConstraintRow:
         if a.ndim != 2:
             raise ValueError("constraint matrix must be two-dimensional")
         b = as_vector(self.b, size=a.shape[0], name="constraint bounds")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise ValueError("constraint matrix contains non-finite entries")
         norms = np.abs(a).max(axis=1, initial=0.0)
         norms[norms == 0.0] = 1.0
@@ -428,7 +433,8 @@ class ConstraintRow:
         compiled = start is not None and math.comb(m + d, d - 1) <= VERTEX_BASES_MAX
         vertices = _find_vertices(self) if compiled else None
         if start is not None and vertices is None:
-            _check_start(self, _basic_point(*start, d))
+            tableau, basis = start
+            _check_start(self, _basic_point([trow[-1] for trow in tableau], basis, d))
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "violations", violations)
         object.__setattr__(self, "feasible", start is not None)
@@ -449,8 +455,10 @@ class ConstraintRow:
 def _simplex_maximize(row: ConstraintRow, obj) -> tuple:
     """Phase 2 of the simplex for max c @ p over the row's scaled
     inequalities, where ``c`` is ``obj.values``: it minimises ``-c``, the
-    values of ``obj.negation``, from a copy of the kept phase-1 start, and
-    counts its own pivots only.  A row without a start raises
+    values of ``obj.negation``, from the kept phase-1 start, which it reads
+    and never writes, and counts its own pivots only.  Only the right-hand
+    side is read at the end, so the rows that missed pivots are never
+    brought up to date (see ``_run_phase``).  A row without a start raises
     ``InfeasibleRowError``.  The feasible set lies in the probability
     simplex, so an unbounded ray is a numeric breakdown, which ``_run_phase``
     raises as ``NumericalError``.
@@ -460,23 +468,21 @@ def _simplex_maximize(row: ConstraintRow, obj) -> tuple:
     start, basis = row.simplex_start
     d = row.dim
     costs = obj.negation.values.tolist()
-    tableau = list(start)
+    reduced = _reduced_costs(start, [costs[k] if k < d else 0.0 for k in basis], costs)
+    rhs = [trow[-1] for trow in start]
     basis = list(basis)
-    tableau.append(
-        _reduced_costs(tableau, [costs[k] if k < d else 0.0 for k in basis], costs)
-    )
-    iterations = _run_phase(tableau, basis)
-    p = _basic_point(tableau, basis, d)
+    iterations = _run_phase(list(start), [[] for _ in basis], rhs, basis, reduced)[0]
+    p = _basic_point(rhs, basis, d)
     return float(obj.values.dot(p)), p, iterations
 
 
-def _basic_point(tableau, basis, d: int) -> np.ndarray:
-    """The pmf of a simplex tableau: each basic structural column's
-    right-hand side, 0 elsewhere."""
+def _basic_point(rhs, basis, d: int) -> np.ndarray:
+    """The pmf of a simplex tableau with right-hand side ``rhs``: each basic
+    structural column's right-hand side, 0 elsewhere."""
     p = np.zeros(d)
     for i, k in enumerate(basis):
         if k < d:
-            p[k] = tableau[i][-1]
+            p[k] = rhs[i]
     return p
 
 
@@ -567,8 +573,14 @@ def _solve_phase_one(row: ConstraintRow):
     leftover artificials are driven out where a structural pivot exists (a
     row with none is redundant and stays inert at level 0).  The artificial
     columns are not stored: no pivot choice or structural entry reads them,
-    and a basic artificial keeps its column index ``d + m + j``.  Rows are
-    tuples, so the start cannot be written to once it is kept.
+    and a basic artificial keeps its column index ``d + m + j``.
+
+    Phase 1 and the drive-out pivot through ``_pivot``, which leaves the
+    rows that are not pivot rows behind; each row is brought up to date
+    when the drive-out reads it and, once, before it is kept, so the start
+    is the full tableau, with the bits of one that updates every row at
+    every pivot.  Rows are tuples, so the start cannot be written to once
+    it is kept.
 
     Raises ``InfeasibleRowError`` when no pmf satisfies the row.
     """
@@ -596,43 +608,53 @@ def _solve_phase_one(row: ConstraintRow):
     for j, i in enumerate(artificial):
         basis[i] = n_cols + j
 
-    tableau.append(
-        _reduced_costs(tableau, [1.0 if k >= n_cols else 0.0 for k in basis], [])
+    reduced = _reduced_costs(
+        tableau, [1.0 if k >= n_cols else 0.0 for k in basis], []
     )
-    _run_phase(tableau, basis)
-    if -tableau.pop()[-1] > EPS_FEAS:
+    missed = [[] for _ in basis]
+    rhs = [trow[-1] for trow in tableau]
+    if -_run_phase(tableau, missed, rhs, basis, reduced)[1][-1] > EPS_FEAS:
         raise InfeasibleRowError("constraint system admits no pmf")
     for i in range(m + 1):
         if basis[i] >= n_cols:
+            trow = _catch_up(tableau, missed, i)
             for j in range(n_cols):
-                if abs(tableau[i][j]) > PIVOT_TOL:
-                    _pivot(tableau, i, j)
+                if abs(trow[j]) > PIVOT_TOL:
+                    column = [_catch_up(tableau, missed, k)[j] for k in range(m + 1)]
+                    _pivot(tableau, missed, rhs, i, j, column)
                     basis[i] = j
                     break
 
-    return tuple(map(tuple, tableau)), tuple(basis)
+    start = tuple(tuple(_applied(trow, todo)) for trow, todo in zip(tableau, missed))
+    return start, tuple(basis)
 
 
-def _reduced_costs(tableau: list, basic_costs: list, costs: list) -> list:
+def _reduced_costs(tableau, basic_costs: list, costs: list) -> list:
     """Reduced-cost row for minimising ``costs @ x`` (zero past the end of
     ``costs``), given the cost of each row's basic variable."""
     obj = costs + [0.0] * (len(tableau[0]) - len(costs))
-    for trow, cb in zip(tableau, basic_costs):
-        if cb != 0.0:
-            obj = [o - cb * x for o, x in zip(obj, trow)]
-    return obj
+    basic = [(cb, trow) for trow, cb in zip(tableau, basic_costs) if cb != 0.0]
+    return _applied(obj, basic)
 
 
-def _run_phase(tableau: list, basis: list) -> int:
+def _run_phase(rows: list, missed: list, rhs: list, basis: list, obj: list):
     """Pivot until no reduced cost is below ``-PIVOT_TOL``; returns the pivot
-    count.
+    count and the final reduced-cost row.
 
-    ``tableau[-1]`` is the reduced-cost row; the others are the constraint
-    rows, whose basic variables are listed in ``basis``.  Entering
-    candidates are the structural and slack columns.  The entering column is
-    the one with the most negative reduced cost, lowest index on ties
-    (Dantzig's rule), except right after a degenerate pivot (ratio at most
-    ``PIVOT_TOL``), when it is the first column below ``-PIVOT_TOL``
+    ``obj`` is the reduced-cost row and ``rows`` the constraint rows, whose
+    basic variables are listed in ``basis`` and whose right-hand sides are
+    ``rhs``.  A row is kept as its last full version, ``rows[i]``, plus
+    ``missed[i]``, the pivots it has not applied yet (see ``_pivot``);
+    ``obj`` and ``rhs`` are always up to date.  The ratio test catches up
+    only the entries of the entering column, which are the factors the
+    pivot logs.  Each entry gets the steps ``x - f*y`` of the pivots it
+    missed, in order, as it would have when every pivot updated it, so the
+    pivots and every value are those of a tableau updated in full.
+
+    Entering candidates are the structural and slack columns.  The entering
+    column is the one with the most negative reduced cost, lowest index on
+    ties (Dantzig's rule), except right after a degenerate pivot (ratio at
+    most ``PIVOT_TOL``), when it is the first column below ``-PIVOT_TOL``
     (Bland's rule).  The leaving row is always chosen by the minimum ratio,
     ties to the lowest basic index, as Bland's rule asks.
 
@@ -641,12 +663,10 @@ def _run_phase(tableau: list, basis: list) -> int:
     cycle every pivot follows a degenerate pivot, so every pivot is chosen
     by Bland's rule, and Bland's rule never cycles (Bland 1977).
     """
-    n_rows = len(basis)
-    n_cols = len(tableau[0]) - 1
+    n_cols = len(obj) - 1
     pivots = 0
     degenerate = False
     while True:
-        obj = tableau[-1]
         enter = -1
         least = -PIVOT_TOL
         for j in range(n_cols):
@@ -656,13 +676,17 @@ def _run_phase(tableau: list, basis: list) -> int:
                     break
                 least = obj[j]
         if enter < 0:
-            return pivots
+            return pivots, obj
+        column = []
         leave = -1
         best_ratio = math.inf
-        for i in range(n_rows):
-            coef = tableau[i][enter]
+        for i, pending in enumerate(missed):
+            coef = rows[i][enter]
+            for f, y in pending:
+                coef = coef - f * y[enter]
+            column.append(coef)
             if coef > PIVOT_TOL:
-                ratio = tableau[i][-1] / coef
+                ratio = rhs[i] / coef
                 if ratio < best_ratio - PIVOT_TOL or (
                     abs(ratio - best_ratio) <= PIVOT_TOL
                     and (leave < 0 or basis[i] < basis[leave])
@@ -673,26 +697,80 @@ def _run_phase(tableau: list, basis: list) -> int:
             raise NumericalError(
                 "unbounded direction in a simplex-constrained program"
             )
-        _pivot(tableau, leave, enter)
+        pivot_row = _pivot(rows, missed, rhs, leave, enter, column)
+        factor = obj[enter]
+        obj = [x - factor * y for x, y in zip(obj, pivot_row)]
         basis[leave] = enter
         pivots += 1
         degenerate = best_ratio <= PIVOT_TOL
 
 
-def _pivot(tableau: list, r: int, j: int) -> None:
-    """Scale row ``r`` so that its entry in column ``j`` is 1, and eliminate
-    column ``j`` from every other row that has a nonzero entry there.
+def _pivot(rows: list, missed: list, rhs: list, r: int, j: int, column: list) -> list:
+    """Pivot on row ``r`` and column ``j``, whose entries, up to date, are
+    ``column``; returns the pivot row, scaled so that its entry in column
+    ``j`` is 1.
 
-    Rows are replaced by new lists, never written in place, so a tableau
-    that shares its rows with the kept phase-1 start leaves it unchanged.
+    Only the pivot row and the right-hand side are updated in full: every
+    other row with a nonzero entry in column ``j`` logs the factor and the
+    pivot row in ``missed`` and applies them when it is read in full
+    (``_catch_up``).  Rows are replaced by new lists, never written in
+    place, so rows shared with the kept phase-1 start leave it unchanged.
     """
-    pivot_value = tableau[r][j]
-    pivot_row = [x / pivot_value for x in tableau[r]]
-    tableau[r] = pivot_row
-    for i, trow in enumerate(tableau):
-        factor = trow[j]
-        if i != r and factor != 0.0:
-            tableau[i] = [x - factor * y for x, y in zip(trow, pivot_row)]
+    pivot_value = column[r]
+    trow = rows[r]
+    pending = missed[r]
+    # The last one or two missed pivots are applied in the pass that scales
+    # the row.
+    if len(pending) > 1:
+        if len(pending) > 2:
+            trow = _applied(trow, pending[:-2])
+        (f, y), (g, z) = pending[-2:]
+        pivot_row = [(x - f * a - g * b) / pivot_value
+                     for x, a, b in zip(trow, y, z)]
+    elif pending:
+        ((f, y),) = pending
+        pivot_row = [(x - f * a) / pivot_value for x, a in zip(trow, y)]
+    else:
+        pivot_row = [x / pivot_value for x in trow]
+    missed[r] = []
+    rows[r] = pivot_row
+    level = pivot_row[-1]
+    for i, factor in enumerate(column):
+        if factor != 0.0 and i != r:
+            missed[i].append((factor, pivot_row))
+            rhs[i] = rhs[i] - factor * level
+    rhs[r] = level
+    return pivot_row
+
+
+def _catch_up(rows: list, missed: list, i: int):
+    """Row ``i`` brought up to date: apply the pivots it missed, keep the
+    result as its full version and return it."""
+    if missed[i]:
+        rows[i] = _applied(rows[i], missed[i])
+        missed[i] = []
+    return rows[i]
+
+
+def _applied(trow, pending: list):
+    """``trow`` with the missed pivots ``pending``, ``(factor, pivot_row)``
+    pairs, applied in order: each entry ``x`` becomes ``x - factor * y``.
+
+    Up to three pivots go in one pass over the row, which costs less than
+    three passes: ``x - f*a - g*b`` is ``(x - f*a) - g*b``, the same steps.
+    """
+    k = 0
+    while len(pending) - k >= 3:
+        (f, y), (g, z), (h, w) = pending[k : k + 3]
+        trow = [x - f * a - g * b - h * c for x, a, b, c in zip(trow, y, z, w)]
+        k += 3
+    if len(pending) - k == 2:
+        (f, y), (g, z) = pending[k:]
+        trow = [x - f * a - g * b for x, a, b in zip(trow, y, z)]
+    elif len(pending) - k == 1:
+        f, y = pending[k]
+        trow = [x - f * a for x, a in zip(trow, y)]
+    return trow
 
 
 CredalRow = Union[IntervalRow, VertexRow, ConstraintRow]

@@ -1,8 +1,9 @@
 """Shared fixtures-by-hand: the worked two-state model, random instance
 generators, small independent oracles used to derive expected values, and
 the reference functions that only tests call (operator iterates, the pmf
-rule, a greedy interval witness, the model document writer, and the
-brute-force envelope over extreme compatible processes)."""
+rule, a greedy interval witness, the model document writer, the eager
+simplex pivot loop, and the brute-force envelope over extreme compatible
+processes)."""
 
 from __future__ import annotations
 
@@ -46,6 +47,27 @@ BREAKDOWN_A = [[2.5e-08, -2.0], [-1.0, -2.0], [1.486243791690777, 0.0],
 BREAKDOWN_B = [1e-09, 0.0, 1.5272352896160752, 2.7306097113498335]
 BREAKDOWN_A_PADDED = BREAKDOWN_A + [[0.0, 0.0]] * 5
 BREAKDOWN_B_PADDED = BREAKDOWN_B + [1.0] * 5
+
+# A feasible d=5, m=3 row (e_4 lies in it) with C(8, 4) = 70 candidate bases,
+# so it keeps the simplex.  Phase 1 pivots on an entry of 1.6e-9, just above
+# PIVOT_TOL, tableau entries reach 1e10, and the start it keeps misses the
+# row by 0.04: building the row raises NumericalError.
+LEAVING_START_A = [[0.0, 0.0, 1.0, 0.0, 0.0], [2.0, 1.0, -0.125, 0.0, 0.0],
+                   [0.0, 1.0, 1e-10, -1.0, 0.0]]
+LEAVING_START_B = [1.0, 0.0, 0.0]
+# A d=5, m=4 row on which phase 1 finds an "unbounded direction", which a
+# program inside the probability simplex cannot have: building the row
+# raises NumericalError, and its feasibility is never decided.
+UNBOUNDED_START_A = [
+    [-6263.1716919571545, -10000.0, 29921.183472258825, -12819.781238396421,
+     -29804.242704797438],
+    [-0.11268947269838261, 1e-09, 0.0918305478199864, 0.2876370260073263, 0.0],
+    [1.2902417518626778e-12, -1e-12, 4.740116468443416e-13,
+     1.9128021518736026e-12, 1e-19],
+    [0.0001947278367447776, -0.0002516859962196483, 1.0000000000000002e-13,
+     0.0002, 2.5e-12],
+]
+UNBOUNDED_START_B = [-15974.322810544541, 0.0, -6.232207475385074e-13, 1e-12]
 
 
 def e1_model(initial="spec") -> ImpreciseMarkovChain:
@@ -300,11 +322,16 @@ def reference_interval_maximize(row: IntervalRow, c):
     return float(np.dot(c, p)), p, iterations
 
 
-def reference_simplex_max(c, a_ub, b_ub):
+def reference_simplex_max(c, a_ub, b_ub, check_start=True):
     """Reference constraint-row maximum: (value, maximizer, iterations) of a
     dense two-phase simplex on numpy rows for: max c @ p  s.t.
     a_ub @ p <= b_ub, sum(p) = 1, p >= 0.  ``iterations`` counts the
     phase-2 pivots, as ``maximize`` does.
+
+    With ``check_start``, the start phase 1 leaves must lie in the row
+    within ``EPS_FEAS``, or ``NumericalError`` is raised with the message
+    of ``core._check_start``, the check a row that keeps the simplex makes
+    when it is built.
 
     This is the solver ``maximize`` used before phase 1 was kept per row: it
     scales the row, builds the full tableau (artificial columns included)
@@ -444,6 +471,18 @@ def reference_simplex_max(c, a_ub, b_ub):
                                 tableau[k] -= tableau[k, j] * pivot_row
                         basis[i] = j
                         break
+    if check_start:
+        x = np.zeros(n_cols + n_art)
+        x[basis] = tableau[:n_rows, -1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            inside = (x[:d] >= -EPS_FEAS).all() and (
+                a_ub @ x[:d] <= b_ub + EPS_FEAS
+            ).all()
+        if not inside:
+            raise NumericalError(
+                "phase 1 of the simplex left the constraint row: its start "
+                "misses the row by more than EPS_FEAS"
+            )
 
     phase2_costs = np.zeros(n_cols + n_art)
     phase2_costs[:d] = -c
@@ -453,6 +492,116 @@ def reference_simplex_max(c, a_ub, b_ub):
     x[basis] = tableau[:n_rows, -1]
     p = x[:d].copy()
     return float(np.dot(c, p)), p, iterations
+
+
+class PivotCapError(RuntimeError):
+    """``reference_run_phase`` made more pivots than it was allowed."""
+
+
+def reference_run_phase(tableau: list, basis: list, max_pivots=None) -> int:
+    """The eager phase loop: pivot until no reduced cost is below
+    ``-PIVOT_TOL`` and return the pivot count, updating every row of
+    ``tableau`` (lists of floats, the reduced-cost row last) at every pivot
+    with ``reference_pivot``.  Its entering and leaving rules are those of
+    ``core._run_phase``, which updates only the rows a pivot reads and must
+    give the same pivots and bits; this is the loop it replaced.  Raises
+    ``PivotCapError`` after ``max_pivots`` pivots, when given."""
+    n_rows = len(basis)
+    n_cols = len(tableau[0]) - 1
+    pivots = 0
+    degenerate = False
+    while True:
+        obj = tableau[-1]
+        enter = -1
+        least = -PIVOT_TOL
+        for j in range(n_cols):
+            if obj[j] < least:
+                enter = j
+                if degenerate:
+                    break
+                least = obj[j]
+        if enter < 0:
+            return pivots
+        if pivots == max_pivots:
+            raise PivotCapError(f"more than {max_pivots} pivots")
+        leave = -1
+        best_ratio = math.inf
+        for i in range(n_rows):
+            coef = tableau[i][enter]
+            if coef > PIVOT_TOL:
+                ratio = tableau[i][-1] / coef
+                if ratio < best_ratio - PIVOT_TOL or (
+                    abs(ratio - best_ratio) <= PIVOT_TOL
+                    and (leave < 0 or basis[i] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave < 0:
+            raise NumericalError(
+                "unbounded direction in a simplex-constrained program"
+            )
+        reference_pivot(tableau, leave, enter)
+        basis[leave] = enter
+        pivots += 1
+        degenerate = best_ratio <= PIVOT_TOL
+
+
+def reference_pivot(tableau: list, r: int, j: int) -> None:
+    """Scale row ``r`` so that its entry in column ``j`` is 1, and eliminate
+    column ``j`` from every other row that has a nonzero entry there.  Rows
+    are replaced by new lists, never written in place."""
+    pivot_value = tableau[r][j]
+    pivot_row = [x / pivot_value for x in tableau[r]]
+    tableau[r] = pivot_row
+    for i, trow in enumerate(tableau):
+        factor = trow[j]
+        if i != r and factor != 0.0:
+            tableau[i] = [x - factor * y for x, y in zip(trow, pivot_row)]
+
+
+def reference_phase_one(row):
+    """The start ``(tableau, basis)`` that ``core._solve_phase_one`` must
+    keep for a row with ``scaled_a`` and ``scaled_b``: phase 1 and the
+    drive-out of leftover artificials, run with ``reference_run_phase`` and
+    ``reference_pivot``, which update every row at every pivot.  Raises
+    ``InfeasibleRowError`` when no pmf satisfies the row."""
+    m, d = row.scaled_a.shape
+    n_cols = d + m
+    tableau = []
+    basis = []
+    artificial = []
+    inequalities = zip(row.scaled_a.tolist(), row.scaled_b.tolist())
+    for i, (arow, bi) in enumerate(inequalities):
+        slack = [0.0] * m
+        if bi < 0.0:
+            slack[i] = -1.0
+            tableau.append([-x for x in arow] + slack + [-bi])
+            artificial.append(i)
+        else:
+            slack[i] = 1.0
+            tableau.append(arow + slack + [bi])
+        basis.append(d + i)
+    tableau.append([1.0] * d + [0.0] * m + [1.0])
+    basis.append(-1)
+    artificial.append(m)
+    for j, i in enumerate(artificial):
+        basis[i] = n_cols + j
+    obj = [0.0] * (n_cols + 1)
+    for trow, k in zip(tableau, basis):
+        if k >= n_cols:
+            obj = [o - 1.0 * x for o, x in zip(obj, trow)]
+    tableau.append(obj)
+    reference_run_phase(tableau, basis)
+    if -tableau.pop()[-1] > EPS_FEAS:
+        raise InfeasibleRowError("constraint system admits no pmf")
+    for i in range(m + 1):
+        if basis[i] >= n_cols:
+            for j in range(n_cols):
+                if abs(tableau[i][j]) > PIVOT_TOL:
+                    reference_pivot(tableau, i, j)
+                    basis[i] = j
+                    break
+    return tuple(map(tuple, tableau)), tuple(basis)
 
 
 # Cap on the number of enumerated process assignments (summed over starting

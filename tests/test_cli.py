@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from credalmc import (
     ConstraintRow,
     ImpreciseMarkovChain,
     IntervalRow,
+    NumericalError,
     StateSpace,
     VertexRow,
     cli,
@@ -28,6 +30,10 @@ from credalmc.cli import (
 from helpers import (
     BREAKDOWN_A_PADDED,
     BREAKDOWN_B_PADDED,
+    LEAVING_START_A,
+    LEAVING_START_B,
+    UNBOUNDED_START_A,
+    UNBOUNDED_START_B,
     model_to_document,
     random_model,
     reference_interval_maximize,
@@ -163,6 +169,29 @@ class TestValidateCommand:
             "",
             "error: rows['a']: phase 1 of the simplex left the constraint row: "
             "its start misses the row by more than EPS_FEAS\n",
+        )
+
+    @pytest.mark.parametrize("a, b, message", [
+        (LEAVING_START_A, LEAVING_START_B,
+         "phase 1 of the simplex left the constraint row: its start misses "
+         "the row by more than EPS_FEAS"),
+        (UNBOUNDED_START_A, UNBOUNDED_START_B,
+         "unbounded direction in a simplex-constrained program"),
+    ], ids=["start-outside", "unbounded"])
+    def test_row_whose_phase_one_breaks_down_exits_3(
+        self, tmp_path, capsys, a, b, message
+    ):
+        states = [f"s{i}" for i in range(5)]
+        rows = {label: {"vertices": [np.eye(5)[i].tolist()]}
+                for i, label in enumerate(states)}
+        rows["s2"] = {"constraints": {"A": a, "b": b}}
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "states": states, "rows": rows,
+            "initial": {"vertices": [np.eye(5)[0].tolist()]},
+        }))
+        assert run(capsys, "validate", str(model)) == (
+            3, "", f"error: rows['s2']: {message}\n"
         )
 
     @pytest.mark.parametrize("command, position", [
@@ -855,6 +884,15 @@ class TestDocuments:
     def test_serialised_document_parses_back(self):
         doc = {"a": [1.5, 2, True, None, "text"], "b": {"nested": [0.1]}}
         assert json.loads(dumps_document(doc)) == doc
+
+    @pytest.mark.parametrize("value", [
+        math.inf, -math.inf, math.nan,
+        np.float64(math.inf), np.float64(-math.inf), np.float64(math.nan),
+    ])
+    def test_non_finite_numbers_are_not_serialised(self, value):
+        message = f"^cannot serialise non-finite value {float(value)}$"
+        with pytest.raises(NumericalError, match=message):
+            dumps_document({"x": [1.0, value]})
 
     def test_gambles_default_missing_states_to_zero(self):
         with open(MODEL) as fh:

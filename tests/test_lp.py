@@ -1,11 +1,17 @@
+import importlib.util
+import json
+import math
+import sys
 import warnings
 from dataclasses import fields, replace
 from itertools import combinations
+from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from credalmc import (
     ConstraintRow,
@@ -23,13 +29,18 @@ from credalmc import (
     row_contains,
     validate_model,
 )
-from credalmc import core, lp
-from credalmc.core import EPS_FEAS, EPS_PROB
+from credalmc import cli, core, lp
+from credalmc.core import EPS_FEAS, EPS_PROB, PIVOT_TOL
 from helpers import (
     BREAKDOWN_A,
     BREAKDOWN_A_PADDED,
     BREAKDOWN_B,
     BREAKDOWN_B_PADDED,
+    LEAVING_START_A,
+    LEAVING_START_B,
+    PivotCapError,
+    UNBOUNDED_START_A,
+    UNBOUNDED_START_B,
     expectation,
     interval_to_constraints,
     interval_witness,
@@ -41,6 +52,8 @@ from helpers import (
     random_row,
     random_vertex_row,
     reference_interval_maximize,
+    reference_phase_one,
+    reference_run_phase,
     reference_simplex_max,
     sample_in_row,
     small_constraint_row,
@@ -512,7 +525,7 @@ class TestIntervalKernelMatchesReferenceGreedy:
 
 def _reference_feasible(a, b):
     try:
-        reference_simplex_max(np.zeros(np.shape(a)[1]), a, b)
+        reference_simplex_max(np.zeros(np.shape(a)[1]), a, b, check_start=False)
     except InfeasibleRowError:
         return False
     return True
@@ -551,8 +564,20 @@ def _assert_matches_simplex(row, c, values=True):
 def _assert_matches_reference_simplex(a, b, c):
     c = np.array(c, dtype=float)
     a = np.array(a, dtype=float).reshape(len(b), c.size)
-    row = ConstraintRow(a=a, b=b)
+    try:
+        row = ConstraintRow(a=a, b=b)
+    except NumericalError as exc:
+        # Phase 1 runs, and a row that keeps the simplex checks its start,
+        # when the row is built: the reference must raise the same error,
+        # with the same message, for either objective.
+        for target in (c, -c):
+            assert _outcome(lambda: reference_simplex_max(target, a, b)) == (
+                type(exc).__name__, str(exc)
+            )
+        return
     obj = lp.Objective.checked(c)
+    # A row solved over its vertex list does not check its start.
+    check_start = row.vertices is None
 
     def simplex(objective):
         return core._simplex_maximize(row, objective)
@@ -561,17 +586,41 @@ def _assert_matches_reference_simplex(a, b, c):
     # from the kept phase-1 tableau, are compared too.
     for _ in range(2):
         assert _outcome(lambda: simplex(obj)) == _outcome(
-            lambda: reference_simplex_max(c, a, b)
+            lambda: reference_simplex_max(c, a, b, check_start)
         )
         assert row.feasible == _reference_feasible(a, b)
         assert _outcome(lambda: simplex(obj.negation)) == _outcome(
-            lambda: reference_simplex_max(-c, a, b)
+            lambda: reference_simplex_max(-c, a, b, check_start)
         )
     # On rows with float entries the simplex itself can stop off the optimum
     # (see ``TestCompiledConstraintRows``), so a compiled row's value is
     # compared with its brute-force vertices there, and with the simplex on
     # the integer rows only.
     _assert_matches_simplex(row, c, values=False)
+
+
+_ROW_ENTRY = st.one_of(st.integers(-2, 2).map(float), st.floats(-3.0, 3.0))
+
+
+def _random_row(data):
+    """``(a, b, c)``: a constraint row of up to the benchmark's d = 10, m = 5
+    and beyond, often degenerate, with each inequality scaled by 1e-12 to
+    1e12, and an objective."""
+    d = data.draw(st.integers(1, 12))
+    m = data.draw(st.integers(0, 7))
+    a = np.array(
+        data.draw(st.lists(_ROW_ENTRY, min_size=m * d, max_size=m * d))
+    ).reshape(m, d)
+    if data.draw(st.booleans()):
+        # Through or around the barycentre: nonempty, often degenerate.
+        margin = data.draw(st.sampled_from([0.0, 0.1]))
+        b = a @ np.full(d, 1.0 / d) + margin
+    else:
+        b = np.array(data.draw(st.lists(_ROW_ENTRY, min_size=m, max_size=m)))
+    exponents = data.draw(st.lists(st.integers(-12, 12), min_size=m, max_size=m))
+    scales = 10.0 ** np.array(exponents, dtype=float)
+    c = data.draw(st.lists(_ROW_ENTRY, min_size=d, max_size=d))
+    return a * scales[:, None], b * scales, c
 
 
 class TestConstraintSimplexMatchesReference:
@@ -608,32 +657,19 @@ class TestConstraintSimplexMatchesReference:
             ([[-1e12, 0.0, 0.0], [0.0, 1e-12, 0.0]], [-3e11, 2e-13], [0.0, 1.0, 2.0]),
             ([[1e-310, 0.0], [1.0, 0.0]], [1.0, 0.5], [1.0, 0.0]),  # b scales to inf
             ([[1e-310, 0.0]], [-1.0], [1.0, 0.0]),  # b scales to -inf: infeasible
+            # Phase 1 keeps a start outside the row, and on the next row
+            # finds an unbounded direction: both sides raise.
+            (LEAVING_START_A, LEAVING_START_B, [1.0, 0.0, -1.0, 2.0, 0.5]),
+            (UNBOUNDED_START_A, UNBOUNDED_START_B, [1.0, 0.0, -1.0, 2.0, 0.5]),
         ],
     )
     def test_edge_cases(self, a, b, c):
         _assert_matches_reference_simplex(a, b, c)
 
-    _entry = st.one_of(st.integers(-2, 2).map(float), st.floats(-3.0, 3.0))
-
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_random_rows(self, data):
-        # Up to the benchmark's d = 10, m = 5 rows and beyond.
-        d = data.draw(st.integers(1, 12))
-        m = data.draw(st.integers(0, 7))
-        a = np.array(
-            data.draw(st.lists(self._entry, min_size=m * d, max_size=m * d))
-        ).reshape(m, d)
-        if data.draw(st.booleans()):
-            # Through or around the barycentre: nonempty, often degenerate.
-            margin = data.draw(st.sampled_from([0.0, 0.1]))
-            b = a @ np.full(d, 1.0 / d) + margin
-        else:
-            b = np.array(data.draw(st.lists(self._entry, min_size=m, max_size=m)))
-        exponents = data.draw(st.lists(st.integers(-12, 12), min_size=m, max_size=m))
-        scales = 10.0 ** np.array(exponents, dtype=float)
-        c = data.draw(st.lists(self._entry, min_size=d, max_size=d))
-        _assert_matches_reference_simplex(a * scales[:, None], b * scales, c)
+        _assert_matches_reference_simplex(*_random_row(data))
 
     def test_phase_one_is_solved_once_per_row(self, monkeypatch):
         solves = []
@@ -931,6 +967,176 @@ class TestPivotRule:
                 for optimise in (maximize, minimize):
                     pivots.append(optimise(row, c).iterations)
         assert np.mean(pivots) < 5.5
+
+
+def _float_bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+# Tableau entries: repeated small values, both zeros, entries on either side
+# of PIVOT_TOL and of -PIVOT_TOL, and any float in [-3, 3].
+_NEAR_TOL = [PIVOT_TOL, math.nextafter(PIVOT_TOL, 1.0), math.nextafter(PIVOT_TOL, 0.0),
+             PIVOT_TOL * (1 + 1e-7), PIVOT_TOL * (1 - 1e-7)]
+_TABLEAU_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, *_NEAR_TOL,
+                     *(-x for x in _NEAR_TOL)]),
+    st.floats(-3.0, 3.0),
+)
+# Right-hand sides: zeros (degenerate ratios), infinity and repeated values.
+_RHS_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, math.inf]), st.floats(0.0, 3.0)
+)
+
+
+@st.composite
+def _canonical_tableau(draw):
+    """``(rows, costs, basis)``: a simplex tableau of up to 9 constraint rows
+    over up to 20 columns and the right-hand side, past the 6 x 16 of the
+    ``constraint-sum`` benchmark.  Each row's basic column is a unit column
+    with a reduced cost of 0, or an artificial variable, an index past the
+    stored columns, as phase 1 keeps them.  Half the tableaux have a first
+    row that bounds every column; the others often have unbounded
+    columns."""
+    n_rows = draw(st.integers(1, 9))
+    n_cols = draw(st.integers(n_rows, 20))
+    order = draw(st.permutations(range(n_cols)))
+    basis = [order[i] if draw(st.booleans()) else n_cols + i for i in range(n_rows)]
+    rows = [draw(st.lists(_TABLEAU_ENTRY, min_size=n_cols, max_size=n_cols))
+            for _ in range(n_rows)]
+    costs = draw(st.lists(_TABLEAU_ENTRY, min_size=n_cols + 1, max_size=n_cols + 1))
+    if draw(st.booleans()):
+        # Entries of at least 0.5 in the first row bound every column, as
+        # the ``sum(p) = 1`` row of phase 1 does.
+        rows[0] = [abs(x) + 0.5 for x in rows[0]]
+    for i, k in enumerate(basis):
+        if k < n_cols:
+            for r, trow in enumerate(rows):
+                trow[k] = 1.0 if r == i else 0.0
+            costs[k] = 0.0
+    rows = [tuple(trow + [draw(_RHS_ENTRY)]) for trow in rows]
+    return rows, costs, basis
+
+
+def _scaled_row(a, b):
+    """The fields phase 1 reads, ``scaled_a`` and ``scaled_b``, scaled as
+    ``ConstraintRow`` scales them, without building the row."""
+    a = np.array(a, dtype=float)
+    norms = np.abs(a).max(axis=1, initial=0.0)
+    norms[norms == 0.0] = 1.0
+    with np.errstate(over="ignore"):
+        return SimpleNamespace(
+            scaled_a=a / norms[:, None], scaled_b=np.asarray(b, dtype=float) / norms
+        )
+
+
+def _start_outcome(solve, row):
+    """The bits of the start ``solve(row)`` returns, row by row, and its
+    basis, or the type and message of the error it raises."""
+    try:
+        tableau, basis = solve(row)
+    except (InfeasibleRowError, NumericalError) as exc:
+        return type(exc).__name__, str(exc)
+    return [_float_bits(trow) for trow in tableau], basis
+
+
+def _workload_constraint_rows(seeds):
+    """Every ``ConstraintRow`` of the model documents of the benchmark's four
+    workloads at ``seeds``, parsed as ``credalmc`` parses them."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # ``dataclasses`` looks the module up while the module runs.
+    sys.modules[spec.name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    rows = []
+    for name in workloads.WORKLOADS:
+        for seed in seeds:
+            for text in workloads.build(name, seed).documents.values():
+                doc = json.loads(text)
+                if "rows" in doc and '"constraints"' in text:
+                    model = cli.parse_model(doc)
+                    rows += [row for row in (*model.rows, model.initial)
+                             if isinstance(row, ConstraintRow)]
+    return rows
+
+
+class TestDeferredRowUpdates:
+    """``core._run_phase`` updates in full only the pivot row, the
+    reduced-cost row and the right-hand side; the other rows catch up when
+    they are read.  It must make the pivots, and leave the bits, of the
+    eager loop that updates every row at every pivot
+    (``helpers.reference_run_phase``)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(tableau=_canonical_tableau())
+    def test_random_tableaux(self, tableau):
+        rows, costs, basis = tableau
+        eager = [list(trow) for trow in rows] + [list(costs)]
+        eager_basis = list(basis)
+        try:
+            want = reference_run_phase(eager, eager_basis, max_pivots=200)
+        except PivotCapError:
+            assume(False)
+        except NumericalError as exc:
+            want = str(exc)
+        # The rows are tuples, so nothing can write to them in place.
+        lazy, missed = list(rows), [[] for _ in rows]
+        rhs = [trow[-1] for trow in rows]
+        lazy_basis = list(basis)
+        try:
+            got, obj = core._run_phase(lazy, missed, rhs, lazy_basis, list(costs))
+        except NumericalError as exc:
+            got, obj = str(exc), None
+        assert got == want
+        assert lazy_basis == eager_basis
+        assert _float_bits(rhs) == _float_bits([trow[-1] for trow in eager[:-1]])
+        # Caught up, every row is the eager one, bit for bit; so is the
+        # reduced-cost row, whose last entry phase 1 reads.
+        flushed = [core._applied(trow, todo) for trow, todo in zip(lazy, missed)]
+        assert [_float_bits(t) for t in flushed] == [_float_bits(t) for t in eager[:-1]]
+        if obj is not None:
+            assert _float_bits(obj) == _float_bits(eager[-1])
+            assert _float_bits(obj[-1:]) == _float_bits(eager[-1][-1:])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_phase_one_matches_the_eager_reference(self, data):
+        a, b, _ = _random_row(data)
+        row = _scaled_row(a, b)
+        assert _start_outcome(core._solve_phase_one, row) == _start_outcome(
+            reference_phase_one, row
+        )
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (BREAKDOWN_A_PADDED, BREAKDOWN_B_PADDED),
+            (LEAVING_START_A, LEAVING_START_B),
+            (UNBOUNDED_START_A, UNBOUNDED_START_B),
+            ([[1.0, 0.0], [-1.0, 0.0]], [0.2, -0.5]),  # infeasible
+            # Artificials left at level 0 after phase 1, driven out.
+            ([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [1.0, 1.0, 1.0]],
+             [0.0, 0.0, 1.0]),
+        ],
+    )
+    def test_phase_one_edge_cases(self, a, b):
+        row = _scaled_row(a, b)
+        assert _start_outcome(core._solve_phase_one, row) == _start_outcome(
+            reference_phase_one, row
+        )
+
+    def test_workload_rows_keep_the_reference_start(self):
+        rows = _workload_constraint_rows(seeds=(1, 2, 3))
+        # At least constraint-sum's 4 models of 11 rows at each seed (with
+        # mixed-check's 4, 144 rows in all at the time of writing).
+        assert len(rows) >= 3 * 44
+        for row in rows:
+            assert _start_outcome(lambda r: r.simplex_start, row) == _start_outcome(
+                reference_phase_one, row
+            )
 
 
 class TestSharedObjective:
