@@ -24,7 +24,10 @@ maximises ``obj.values`` over the row, where ``obj`` is an ``lp.Objective``,
 and returns ``(value, maximizer, iterations)``.  Interval rows use the exact
 sorting solution, a greedy pour of the slack in the objective's stable order,
 one plain-Python loop over inputs each row keeps as Python floats, which
-stops once the slack is spent; vertex rows use direct enumeration; constraint
+stops once the slack is spent; a transition first pours every row of a
+stack of at least ``STACK_POUR_MIN_ENTRIES`` entries in one numpy pass
+(``_IntervalStack.pour``), and each row then reads its line of it, with the
+loop's bits.  Vertex rows use direct enumeration; constraint
 rows run a dense two-phase simplex restricted to the probability simplex, or,
 when small, enumerate a vertex list found once.  The simplex lives here, next
 to ``ConstraintRow``, which solves phase 1 once when it is built, checks that
@@ -33,8 +36,10 @@ start, which it only reads, in plain Python floats.  A pivot updates in full
 only the pivot row, the reduced-cost row and the right-hand side; every
 other row catches up on the pivots it missed when it is read, entry by entry
 in a ratio test or in full as a pivot row, with the same steps in the same
-order, so every bit is that of a tableau updated in full.  The pour and the
-tableaux are too small for numpy's per-operation overhead to pay off.
+order, so every bit is that of a tableau updated in full.  The tableaux, and
+the pour of one row or of a small stack, are too small for numpy's
+per-operation overhead to pay off; a transition over a large stack repays
+it, one pass for all its rows.
 The simplex enters the column with the most negative reduced cost (Dantzig's
 rule) and falls back to Bland's smallest-index rule right after a degenerate
 pivot, which excludes cycling with fewer pivots than Bland's rule alone.  The
@@ -55,7 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Iterable, Union
 
 import numpy as np
@@ -81,6 +86,15 @@ VERTEX_BASES_MAX = 10
 # on any row with an inequality under the basis limit, that stays below
 # 1e-9, so no vertex can be judged outside the row at ``EPS_FEAS``.
 VERTEX_COND_MAX = 1e6
+# A transition pours all the rows of an interval stack in one numpy pass (see
+# ``_IntervalStack.pour``) when the stack holds at least this many entries, k
+# rows of d states.  Per transition on a 2-core VM (best of 5, d = k), the
+# pass takes 2.2 times as long as the per-row loop at d = 3 and 1.2 at 100
+# entries; from about 250 to 400 entries the two are within the machine's
+# run-to-run spread, and from 500 up every run measured favours the pass:
+# 0.46-0.75 of the loop at 506 entries, 0.5 at the ``interval-wide``
+# benchmark's 2550 (k = 51, d = 50).
+STACK_POUR_MIN_ENTRIES = 500
 
 
 class CapExceededError(RuntimeError):
@@ -158,22 +172,85 @@ def _set_fields(row, values):
     return row
 
 
+class _IntervalStack:
+    """The interval rows built together, by one ``IntervalRow.stack`` or one
+    ``IntervalRow(lower, upper)``: their pour inputs as one frozen ``(2d + 1,
+    k)`` array, ``inputs``, whose column i is row i's slack, its headroom
+    and its lower bounds (the three parts of ``IntervalRow.pour``), and
+    ``poured``, the result of the last ``pour``.
+
+    ``poured`` is one immutable tuple ``(objective, P, iterations, short)``:
+    the objective poured, the ``(k, d)`` read-only array of the k
+    maximizers, and each row's iteration count and whether it is short of
+    mass beyond ``EPS_FEAS``, in lists.  Row i's ``_maximize`` reads line i
+    when it is given that same objective (see ``IntervalRow``), so a line is
+    never read for another objective.  Before the first pour no objective
+    is held.
+    """
+
+    __slots__ = ("inputs", "poured")
+
+    def __init__(self, inputs: np.ndarray):
+        inputs.flags.writeable = False
+        self.inputs = inputs
+        self.poured = (None, None, None, None)
+
+    def pour(self, obj) -> None:
+        """Pour the slack of every row for ``obj`` in one numpy pass, with the
+        results of ``IntervalRow._maximize``'s loop, bit for bit.
+
+        The inputs are gathered in ``obj.order()``, one state per line, and
+        the running slack before each state is ``np.subtract.accumulate``
+        down the lines of the slack and the headrooms, the loop's own
+        sequence of subtractions, for all rows at once.  Each state's share
+        is its headroom, or the running slack when the headroom is larger
+        (the loop's ``add > left``), which spends the slack: the accumulated
+        slack then turns negative where the loop's is 0.  The loop stops at
+        the first state whose running slack is ``<= 0.0``, and every later
+        one is too, as a headroom is never negative; there the share is the
+        slack or a zero headroom, so a state takes mass exactly when its
+        share is above 0.  A NaN slack is never spent, and every state with
+        headroom takes it, as in the loop.  A row is short when its slack
+        after the last state is above ``EPS_FEAS``, since a loop that stopped
+        early ends at or below 0 there.  The lines of an empty row are
+        computed too, but never read.
+        """
+        inputs = self.inputs
+        d = inputs.shape[0] // 2
+        order = np.array(obj.order())
+        gathered = inputs[np.concatenate(([0], order + 1, order + d + 1))]
+        share = gathered[1 : d + 1]
+        lower = gathered[d + 1 :]
+        with np.errstate(over="ignore", invalid="ignore"):
+            left = np.subtract.accumulate(gathered[: d + 1], axis=0)
+            np.copyto(share, left[:-1], where=share > left[:-1])
+            taken = share > 0.0
+            # Only states that take mass are written, as in the loop.
+            np.add(lower, share, out=lower, where=taken)
+        p = np.empty(lower.shape[::-1])
+        p[:, order] = lower.T
+        p.flags.writeable = False
+        iterations = taken.sum(axis=0).tolist()
+        self.poured = (obj, p, iterations, (left[-1] > EPS_FEAS).tolist())
+
+
 def _interval_fields(lower: np.ndarray, upper: np.ndarray):
-    """The fields ``(lower, upper, pour, empty, violations, feasible)`` of k
-    interval rows, row by row, from frozen ``(k, d)`` bounds: views of the
-    bounds, a tuple of plain Python floats, a bool, a tuple of messages and a
-    bool (see ``IntervalRow``).  Each row's sums are the ones
+    """The fields ``(lower, upper, pour, empty, violations, feasible,
+    stacked_in, line)`` of k interval rows, row by row, from frozen ``(k,
+    d)`` bounds: views of the bounds, a tuple of plain Python floats, a bool,
+    a tuple of messages, a bool, their one ``_IntervalStack`` and the row's
+    index in it (see ``IntervalRow``).  Each row's sums are the ones
     ``lower[i].sum()`` and ``upper[i].sum()`` give, bit for bit."""
     k, d = lower.shape
     with np.errstate(over="ignore", invalid="ignore"):
         lower_sum = lower.sum(axis=1)
         upper_sum = upper.sum(axis=1)
-        inputs = np.empty((k, 2 * d + 1))
-        np.subtract(1.0, lower_sum, out=inputs[:, 0])
-        np.maximum(upper - lower, 0.0, out=inputs[:, 1 : d + 1])
-    inputs[:, d + 1 :] = lower
+        inputs = np.empty((2 * d + 1, k))
+        np.subtract(1.0, lower_sum, out=inputs[0])
+        np.maximum((upper - lower).T, 0.0, out=inputs[1 : d + 1])
+    inputs[d + 1 :] = lower.T
     pours = [(line[0], tuple(line[1 : d + 1]), tuple(line[d + 1 :]))
-             for line in inputs.tolist()]
+             for line in inputs.T.tolist()]
     fails = np.array([
         (lower < -EPS_PROB).any(axis=1),
         (upper > 1.0 + EPS_PROB).any(axis=1),
@@ -194,7 +271,8 @@ def _interval_fields(lower: np.ndarray, upper: np.ndarray):
             f"sum of upper bounds is below 1 (sum={upper_sum[i]:.6g})",
         )
         violations[i] = tuple(m for m, fail in zip(messages, fails[:, i]) if fail)
-    return zip(lower, upper, pours, empty.tolist(), violations, feasible.tolist())
+    return zip(lower, upper, pours, empty.tolist(), violations, feasible.tolist(),
+               repeat(_IntervalStack(inputs)), range(k))
 
 
 @dataclass(frozen=True)
@@ -216,7 +294,9 @@ class IntervalRow:
     valid row; ``feasible`` flags a row that holds a pmf: not empty, lower >=
     0 and sum(upper) >= 1 (an upper bound above 1 leaves it feasible).  A row
     built here is the k=1 case of ``stack``: both run the same computation on
-    ``(k, d)`` arrays.
+    ``(k, d)`` arrays.  The rows built together share one ``_IntervalStack``,
+    ``stacked_in``, which can pour all of them at once, and ``line`` is the
+    row's index in it.
     """
 
     lower: np.ndarray
@@ -225,6 +305,8 @@ class IntervalRow:
     empty: bool = field(init=False, repr=False, compare=False)
     violations: tuple = field(init=False, repr=False, compare=False)
     feasible: bool = field(init=False, repr=False, compare=False)
+    stacked_in: _IntervalStack = field(init=False, repr=False, compare=False)
+    line: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo = _freeze(as_vector(self.lower, name="lower bounds"))
@@ -266,9 +348,22 @@ class IntervalRow:
         only be found when the loop runs to the end.  Only states that take
         mass are written, which keeps a lower bound of -0.0 as it is; the
         iteration count is the number of states that took mass.
+
+        When the row's stack was last poured for this same objective (see
+        ``_IntervalStack.pour``), the row reads its line of that pour in
+        place of the loop: the same maximizer, as a read-only view, the same
+        iteration count and the same error, and the value from its own dot
+        product, as the loop computes it.
         """
         if self.empty:
             raise InfeasibleRowError("interval row is empty")
+        poured = self.stacked_in.poured
+        if poured[0] is obj:
+            line = self.line
+            if poured[3][line]:
+                raise InfeasibleRowError("interval row has total upper mass below 1")
+            p = poured[1][line]
+            return float(obj.values.dot(p)), p, poured[2][line]
         left, headroom, lower = self.pour
         p = self.lower.copy()
         taken = 0
@@ -784,14 +879,28 @@ class ImpreciseMarkovChain:
     ``states.labels[i]``; the rows are specified separately, so every
     optimisation decomposes per state.  Instances are immutable; use
     ``validate_model`` to collect invariant violations.
+
+    ``pour_stacks`` holds the stacks of the interval rows in ``rows`` that
+    are as wide as the state count and hold at least
+    ``STACK_POUR_MIN_ENTRIES`` entries, in row order: a transition pours
+    each of them in one pass before it solves the rows one by one.
     """
 
     states: StateSpace
     initial: CredalRow
     rows: tuple[CredalRow, ...]
+    pour_stacks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
+        stacks = dict.fromkeys(row.stacked_in for row in self.rows
+                               if isinstance(row, IntervalRow))
+        d = self.states.size
+        object.__setattr__(self, "pour_stacks", tuple(
+            stack for stack in stacks
+            if stack.inputs.shape[0] == 2 * d + 1
+            and stack.inputs.shape[1] * d >= STACK_POUR_MIN_ENTRIES
+        ))
 
     @property
     def size(self) -> int:

@@ -16,7 +16,9 @@ Each row kind solves one problem only, in its ``_maximize`` method in
 ``core``: it maximises ``obj.values`` over the row and returns a plain
 ``(value, maximizer, iterations)`` triple.  Interval rows pour the slack in
 the objective's order, in a plain-Python loop that stops once the slack is
-spent; vertex rows enumerate their vertices; constraint rows run phase 2 of
+spent, or read their line of a pour of their whole stack when a transition
+has just made one for the same objective (see ``operators``); vertex rows
+enumerate their vertices; constraint rows run phase 2 of
 the simplex, or, when the row is small enough to have found its vertex list
 when it was built, enumerate that list, with 0 iterations.  Minimisation is
 the conjugate by construction: ``minimize`` runs the same method on the
@@ -32,8 +34,9 @@ through ``Objective.checked``, so the messages and their order are those of
 ``as_vector``.  A row of no supported kind has no such method and raises
 ``TypeError``.  A vertex row's maximizer, and that of a constraint row
 solved over its vertex list, is a read-only view of the chosen row of
-``vertices``, not a copy; the interval and simplex maximizers are fresh
-arrays.
+``vertices``, not a copy, and an interval row's line of a stack pour is a
+read-only view of that pour's maximizers; the maximizers of the interval
+loop and of the simplex are fresh arrays.
 """
 
 from __future__ import annotations
@@ -59,7 +62,8 @@ CHUNK_ENTRIES = 2**12
 class LpResult(NamedTuple):
     """Optimal value, an optimising pmf, and a solver effort counter.
 
-    For a vertex row the maximizer is a read-only view of one listed vertex.
+    For a vertex row the maximizer is a read-only view of one listed vertex;
+    for an interval row read from a stack pour, a read-only view of its line.
     """
 
     value: float

@@ -6,6 +6,14 @@ The lower operator is its conjugate.  Both extend to functions of whole state
 histories, which powers the exponential-cost reference computation.  A
 history function on horizon n is a float array of shape ``(d,)*n``, d the
 state count, whose entry ``hist[x1, ..., xn]`` is its value on that path.
+
+A transition optimises one objective over every row, so it first pours each
+of the model's ``pour_stacks``, the interval stacks as wide as the model of
+at least ``STACK_POUR_MIN_ENTRIES`` entries, in one numpy pass for that
+objective (its negation for the lower operator).  Every row still costs one
+``maximize`` or ``minimize`` call, where a row of such a stack reads its
+line of the pass.  A contraction has an objective per block, so it keeps
+the per-row loop.
 """
 
 from __future__ import annotations
@@ -43,6 +51,8 @@ def upper_transition(
     checked, or an ``Objective``, which only has its length checked.
     """
     f = Objective.checked(f, size=model.size, name="gamble")
+    for stack in model.pour_stacks:
+        stack.pour(f)
     return _optimise_blocks(model, [f] * model.size, maximize, counter)
 
 
@@ -52,6 +62,8 @@ def lower_transition(
     """Conjugate of ``upper_transition``: entry x minimises over the row of x.
     ``f`` is a vector or an ``Objective``, as there."""
     f = Objective.checked(f, size=model.size, name="gamble")
+    for stack in model.pour_stacks:
+        stack.pour(f.negation)
     return _optimise_blocks(model, [f] * model.size, minimize, counter)
 
 

@@ -719,6 +719,17 @@ class TestDocuments:
         queries = sorted(DATA.glob("query_*.json"))
         runs = [(command, str(m), str(q))
                 for command in ("infer", "check") for m in models for q in queries]
+        # Every other model is below ``STACK_POUR_MIN_ENTRIES``; the 25
+        # interval rows of 24 states of this one (600 entries) are poured in
+        # one pass per transition, on a fixed query and on a limit query.
+        wide = tmp_path / "model_generated_wide.json"
+        model = random_model(np.random.default_rng(8), 24, kinds=("intervals",))
+        wide.write_text(json.dumps(model_to_document(model)))
+        assert parse_model(model_to_document(model)).pour_stacks
+        runs += [(command, str(wide), str(DATA / query))
+                 for command, query in (("infer", "query_hitting_prob_n3.json"),
+                                        ("check", "query_hitting_prob_n2.json"),
+                                        ("infer", "query_hitting_prob_limit.json"))]
         ours = [run(capsys, *argv) for argv in runs]
         calls = []
 
@@ -729,11 +740,11 @@ class TestDocuments:
         monkeypatch.setattr(IntervalRow, "_maximize", reference)
         assert [run(capsys, *argv) for argv in runs] == ours
         assert calls
-        # 26 of the 72 runs answer, on every model with interval rows (the
+        # 29 of the 75 runs answer, on every model with interval rows (the
         # mixed model on its own queries), in both commands.
         answered = [argv for argv, (code, _, _) in zip(runs, ours) if code == 0]
-        assert len(answered) >= 26
-        assert {m for _, m, _ in answered} == {str(m) for m in models} - {
+        assert len(answered) >= 29
+        assert {m for _, m, _ in answered} == {str(m) for m in [*models, wide]} - {
             str(DATA / "model_bad.json")
         }
         assert {c for c, _, _ in answered} == {"infer", "check"}

@@ -425,8 +425,11 @@ def _assert_matches_reference_greedy(lower, upper, c):
 
 
 class TestIntervalKernelMatchesReferenceGreedy:
-    """The vectorised interval pour equals the sequential greedy bit for bit:
-    value, maximizer, iteration count and raised error."""
+    """The interval pour's plain-Python loop, run on every row of a call
+    outside a transition over a large stack, equals the sequential greedy
+    bit for bit: value, maximizer, iteration count and raised error.  The
+    stack pour of a transition is held to this loop in
+    ``test_operators.py::TestStackPourMatchesLoop``."""
 
     @pytest.mark.parametrize(
         "lower, upper, c",

@@ -2,12 +2,16 @@ import json
 import math
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from credalmc import (
     ImpreciseMarkovChain,
+    InfeasibleRowError,
+    IntervalRow,
     LpCounter,
     RecursiveSpec,
     StateSpace,
@@ -21,12 +25,14 @@ from credalmc import (
 )
 from credalmc import lp, operators
 from credalmc.cli import parse_model
+from credalmc.core import EPS_FEAS, STACK_POUR_MIN_ENTRIES
 from helpers import (
     E1_ROW_S0,
     e1_model,
     endpoint_bruteforce_two_step_upper,
     iterate_lower,
     iterate_upper,
+    model_to_document,
     random_gamble,
     random_interval_row,
     random_model,
@@ -281,10 +287,23 @@ class TestObjectiveGambles:
 
 
 class TestSortOnce:
-    @pytest.mark.parametrize("transition", [upper_transition, lower_transition])
-    def test_transition_sorts_its_gamble_once(self, monkeypatch, transition):
-        model = random_model(np.random.default_rng(5), 5, kinds=("intervals",))
-        f = random_gamble(rng, 5)
+    @pytest.mark.parametrize(
+        "transition, stacked",
+        [pytest.param(transition, stacked,
+                      id=transition.__name__ + ("-stacked" if stacked else ""))
+         for stacked in (False, True)
+         for transition in (upper_transition, lower_transition)],
+    )
+    def test_transition_sorts_its_gamble_once(self, monkeypatch, transition, stacked):
+        # Rows built one by one run the loop, each reading the kept order; a
+        # stack of 25 rows of 24 states (600 entries) is poured in one pass,
+        # which gathers by that same order.
+        d = 24 if stacked else 5
+        model = random_model(np.random.default_rng(5), d, kinds=("intervals",))
+        if stacked:
+            model = parse_model(json.loads(json.dumps(model_to_document(model))))
+        assert len(model.pour_stacks) == stacked
+        f = random_gamble(rng, d)
         expected = transition(model, f)
         sorts = []
         argsort = np.argsort
@@ -411,3 +430,177 @@ class TestChunkedContraction:
         assert [id(row) for row in calls["maximize"]] == [
             id(model.rows[i % 4]) for i in range(16)
         ]
+
+
+def _outcome(solve):
+    """``(value, maximizer, iterations)`` of an ``LpResult``, the first two
+    as bytes, or the type and message of the error raised instead."""
+    try:
+        value, maximizer, iterations = solve()
+    except InfeasibleRowError as exc:
+        return type(exc).__name__, str(exc)
+    return np.float64(value).tobytes(), maximizer.tobytes(), iterations
+
+
+def _stacked_model(lower, upper):
+    """A model whose d rows are those of one ``IntervalRow.stack`` of the k
+    rows of ``lower`` and ``upper``, row i of the model being line i mod k,
+    with the last line as the initial set; and that stack."""
+    rows = IntervalRow.stack(lower, upper)
+    d = lower.shape[1]
+    space = StateSpace(tuple(f"s{i}" for i in range(d)))
+    model = ImpreciseMarkovChain(
+        states=space, initial=rows[-1], rows=[rows[i % len(rows)] for i in range(d)]
+    )
+    return model, rows
+
+
+def _stack_bounds(gen, d, k, short):
+    """``(k, d)`` bounds: some -0.0 lower bounds, zero and slightly negative
+    gaps, and, cycling with the line, ample mass, about the mass needed or
+    mass short of 1 by half of ``EPS_FEAS``; the lines in ``short`` are
+    short by twice ``EPS_FEAS``, so they raise."""
+    lower = gen.dirichlet(np.ones(d), size=k) * gen.uniform(0.0, 0.9, (k, 1))
+    lower[gen.random((k, d)) < 0.2] = -0.0
+    gap = gen.uniform(0.0, 1.0, (k, d))
+    kind = gen.integers(0, 4, (k, d))
+    kind[np.arange(k), gen.integers(0, d, k)] = 0  # one positive gap a line
+    gap[kind == 2] = 0.0
+    gap[kind == 3] = -gen.uniform(0.0, 1e-9, int((kind == 3).sum()))
+    positive = np.where(kind < 2, gap, 0.0)
+    need = 1.0 - lower.sum(axis=1)
+    scale = np.choose(np.arange(k) % 3, [gen.uniform(1.0, 3.0, k), np.ones(k),
+                                         1.0 - 0.5 * EPS_FEAS / need])
+    scale[short] = 1.0 - 2.0 * EPS_FEAS / need[short]
+    gap = np.where(kind < 2, positive * (need * scale / positive.sum(axis=1))[:, None],
+                   gap)
+    return lower, lower + gap
+
+
+class TestStackPourMatchesLoop:
+    """A transition pours the rows of an interval stack of at least
+    ``STACK_POUR_MIN_ENTRIES`` entries in one numpy pass, and each row reads
+    its line of it.  Every row must give what the loop gives on the same row
+    built alone: the value and maximizer bit for bit, the iteration count,
+    and the type and message of the error raised, at the same row."""
+
+    @staticmethod
+    def _assert_matches_loop(lower, upper, c):
+        k, d = lower.shape
+        model, rows = _stacked_model(lower, upper)
+        above = k * d >= STACK_POUR_MIN_ENTRIES
+        assert model.pour_stacks == ((rows[0].stacked_in,) if above else ())
+        alone = [IntervalRow(lower=lo, upper=up) for lo, up in zip(lower, upper)]
+        for transition, optimise in ((upper_transition, maximize),
+                                     (lower_transition, minimize)):
+            # Each row's result, as the transition's own call returns it.
+            seen = []
+
+            def record(row, obj, counter=None, optimise=optimise):
+                seen.append(_outcome(lambda: optimise(row, obj, counter)))
+                return optimise(row, obj, counter)
+
+            obj = lp.Objective.checked(c)
+            with mock.patch.object(operators, optimise.__name__, record):
+                try:
+                    transition(model, obj)
+                except InfeasibleRowError:
+                    pass
+            want = []
+            for i in range(d):
+                want.append(_outcome(lambda: optimise(alone[i % k], c)))
+                if isinstance(want[-1][0], str):
+                    break
+            assert seen == want
+            # Then every line of the stack, read for the same objective,
+            # including the initial set's and those after a raise.
+            target = obj if optimise is maximize else obj.negation
+            assert (rows[0].stacked_in.poured[0] is target) == above
+            for row, row_alone in zip(rows, alone):
+                outcome = _outcome(lambda: optimise(row, obj))
+                assert outcome == _outcome(lambda: optimise(row_alone, c))
+                if above and not isinstance(outcome[0], str):
+                    # The line is a view of the stack's maximizers.
+                    maximizer = optimise(row, obj).maximizer
+                    assert not maximizer.flags.writeable
+                    with pytest.raises(ValueError, match="read-only"):
+                        maximizer[0] = 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d=st.sampled_from([1, 3, 23, 50, 200]),
+        extra=st.integers(-1, 2),
+        shorts=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_stacks(self, d, extra, shorts, seed):
+        # Stacks just below the constant (extra = -1) and at or above it.
+        k = max(1, -(-STACK_POUR_MIN_ENTRIES // d) + extra)
+        gen = np.random.default_rng(seed)
+        lower, upper = _stack_bounds(gen, d, k, gen.integers(0, k, shorts))
+        c = gen.uniform(-5.0, 5.0, d)
+        ties = gen.random(d) < 0.3
+        c[ties] = gen.integers(-1, 2, int(ties.sum()))
+        self._assert_matches_loop(lower, upper, c)
+
+    @pytest.mark.parametrize(
+        "lower, upper, c",
+        [
+            ([0.0, 0.0, 0.0], [0.5, 0.5, 0.5], [1.0, 1.0, 1.0]),  # ties
+            ([-0.0, 0.5, -0.0, -0.0], [1.0, 1.0, 1.0, 0.0], [1.0, 3.0, 2.0, 4.0]),
+            ([-0.0, 0.2], [0.0, 0.9], [-0.0, 0.0]),
+            # Zero and slightly negative gaps.
+            ([0.1, 0.2, 0.3], [0.1, 0.9, 0.3], [3.0, -1.0, 2.0]),
+            ([0.2, 0.5, 0.1], [0.2 - 1e-12, 0.9, 0.1 - 1e-10], [2.0, 1.0, 3.0]),
+            # The slack 0.5 is spent exactly at the first state poured.
+            ([0.25, 0.25, 0.0, 0.0], [0.5, 0.5, 0.5, 0.5], [1.0, 2.0, 3.0, 4.0]),
+            # sum(lower) = 1 + 1e-12: no state takes mass.
+            ([0.5, 0.5 + 1e-12, 0.0], [0.9, 0.9, 0.9], [1.0, 2.0, 3.0]),
+            ([0.25, 0.25, 0.5], [1.0, 1.0, 1.0], [0.0, 1.0, -1.0]),
+            # Short of mass by half of EPS_FEAS, and by twice it, which raises.
+            ([0.0, 0.0], [0.5, 0.5 - 0.5 * EPS_FEAS], [1.0, 2.0]),
+            ([0.0, 0.0], [0.5, 0.5 - 2.0 * EPS_FEAS], [2.0, 1.0]),
+            ([0.6, 0.6], [0.7, 0.7], [1.0, 2.0]),  # empty
+            ([0.3], [1.0], [-2.0]),
+            # Lower sums that leave float range: NaN (two partial sums of
+            # opposite infinities), so the slack is never spent, and -inf, an
+            # infinite slack; and a headroom of inf, capped by the slack.  The
+            # objective is 0 on the huge bounds, so the value stays finite.
+            ([1e308, -1e308] + [0.0] * 6 + [1e308, -1e308] + [0.0] * 6,
+             [1e308, 0.5] + [0.5] * 6 + [1e308, 0.5] + [0.5] * 6,
+             [0.0, 0.0] + [float(i % 3) for i in range(6)] + [0.0, 0.0]
+             + [float(i % 4) for i in range(6)]),
+            ([-1e308, -1e308, 0.0], [0.5, 0.5, 0.5], [1.0, 3.0, 2.0]),
+            ([-1e308, 0.3, 0.3], [1e308, 0.5, 0.5], [3.0, 2.0, 1.0]),
+            ([-1e308, 0.3, 0.3], [1e308, 0.5, 0.5], [1.0, 2.0, 3.0]),
+        ],
+    )
+    def test_edge_rows(self, lower, upper, c):
+        # The edge row first, then rows of the whole simplex, enough of them
+        # for the stack to be poured in one pass.
+        d = len(lower)
+        k = max(d + 1, -(-STACK_POUR_MIN_ENTRIES // d))
+        lows = np.zeros((k, d))
+        ups = np.ones((k, d))
+        lows[0], ups[0] = lower, upper
+        self._assert_matches_loop(lows, ups, np.array(c))
+        # The same row alone is a stack of one, which keeps the loop.
+        self._assert_matches_loop(lows[:1], ups[:1], np.array(c))
+
+    def test_overflowing_lower_sum_is_nan(self):
+        row = IntervalRow(
+            lower=[1e308, -1e308] + [0.0] * 6 + [1e308, -1e308] + [0.0] * 6,
+            upper=[1e308] * 16,
+        )
+        assert math.isnan(row.pour[0]) and not row.empty
+
+    def test_stack_of_another_width_keeps_the_loop(self):
+        # A stack as wide as the model is the only kind poured; a row of
+        # another width raises as it does alone.
+        rows = IntervalRow.stack(np.zeros((600, 3)), np.ones((600, 3)))
+        space = StateSpace(("a", "b"))
+        model = ImpreciseMarkovChain(states=space, initial=rows[0], rows=rows[:2])
+        assert model.pour_stacks == ()
+        for transition in (upper_transition, lower_transition):
+            with pytest.raises(ValueError, match="^objective has length 2, expected 3$"):
+                transition(model, [1.0, 2.0])
