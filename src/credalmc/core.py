@@ -24,22 +24,33 @@ maximises ``obj.values`` over the row, where ``obj`` is an ``lp.Objective``,
 and returns ``(value, maximizer, iterations)``.  Interval rows use the exact
 sorting solution, a greedy pour of the slack in the objective's stable order,
 one plain-Python loop over inputs each row keeps as Python floats, which
-stops once the slack is spent; a transition first pours every row of a
-stack of at least ``STACK_POUR_MIN_ENTRIES`` entries in one numpy pass
-(``_IntervalStack.pour``), and each row then reads its line of it, with the
-loop's bits.  Vertex rows use direct enumeration; constraint
-rows run a dense two-phase simplex restricted to the probability simplex, or,
-when small, enumerate a vertex list found once.  The simplex lives here, next
-to ``ConstraintRow``, which solves phase 1 once when it is built, checks that
-its start lies in the row and keeps it; each call runs phase 2 from that
-start, which it only reads, in plain Python floats.  A pivot updates in full
-only the pivot row, the reduced-cost row and the right-hand side; every
-other row catches up on the pivots it missed when it is read, entry by entry
-in a ratio test or in full as a pivot row, with the same steps in the same
-order, so every bit is that of a tableau updated in full.  The tableaux, and
-the pour of one row or of a small stack, are too small for numpy's
-per-operation overhead to pay off; a transition over a large stack repays
-it, one pass for all its rows.
+stops once the slack is spent.  Vertex rows use direct enumeration;
+constraint rows run a dense two-phase simplex restricted to the probability
+simplex, or, when small, enumerate a vertex list found once.
+
+The interval pour and the vertex enumeration also have one numpy kernel each
+that solves many lines, a line being a row and an objective, with the bits
+of the call: ``_pour`` and ``_best_vertices``, whose products go through
+``_matvec``.  Both batch shapes use them.  A transition, one objective over
+many rows, first solves every row of the model's ``pour_stacks``, the rows
+built together of one kind that are numerous enough to repay it
+(``STACK_POUR_MIN_ENTRIES``, ``VERTEX_STACK_MIN_ROWS``), and each row's call
+then reads its line of its stack.  A contraction, one row over many
+objectives, gets the lines of a row's blocks from the row's ``_lines``, and
+each block's objective carries its line to its call (see
+``lp.Objective.blocks``).  Every solution still costs one call, and a row
+short of mass or empty has no line, so its call runs the loop and raises.
+Simplex rows have no kernel: each call runs phase 2.
+
+The simplex lives here, next to ``ConstraintRow``, which solves phase 1 once
+when it is built, checks that its start lies in the row and keeps it; each
+call runs phase 2 from that start, which it only reads, in plain Python
+floats.  A pivot updates in full only the pivot row, the reduced-cost row
+and the right-hand side; every other row catches up on the pivots it missed
+when it is read, entry by entry in a ratio test or in full as a pivot row,
+with the same steps in the same order, so every bit is that of a tableau
+updated in full.  The tableaux, and the pour of one row or of a few lines,
+are too small for numpy's per-operation overhead to pay off.
 The simplex enters the column with the most negative reduced cost (Dantzig's
 rule) and falls back to Bland's smallest-index rule right after a degenerate
 pivot, which excludes cycling with fewer pivots than Bland's rule alone.  The
@@ -61,6 +72,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, repeat
+from operator import getitem
 from typing import Iterable, Union
 
 import numpy as np
@@ -95,6 +107,14 @@ VERTEX_COND_MAX = 1e6
 # 0.46-0.75 of the loop at 506 entries, 0.5 at the ``interval-wide``
 # benchmark's 2550 (k = 51, d = 50).
 STACK_POUR_MIN_ENTRIES = 500
+# A transition solves all the vertex rows of a stack with one vertex count in
+# one gemv (see ``_VertexStack.pour``) when there are at least this many.
+# Per transition on a 2-core Xeon VM (numpy 2.4.6; best of 300 interleaved,
+# r stack rows of d states and the rest built alone), the gemv took 1.1-1.6
+# times as long as the per-row calls at r = 2 to 6, 0.99-1.01 at r = 8 for
+# d from 10 to 50, 0.90 at r = d = 10 (the ``vertex-limit`` benchmark's
+# rows) and 0.61 at r = d = 50.
+VERTEX_STACK_MIN_ROWS = 8
 
 
 class CapExceededError(RuntimeError):
@@ -172,6 +192,116 @@ def _set_fields(row, values):
     return row
 
 
+# The line of an objective that carries none (see ``lp.Objective``).  A line
+# is ``(row, solved, i)``: the row, a kernel's results for a batch of its
+# objectives, and the objective's index in them (see ``IntervalRow._lines``).
+_NO_LINE = (None, None, None)
+
+
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``a[..., i, :]`` times ``x[..., :]`` for every matrix of the stack
+    ``a``, shape ``(..., k, d)``, and its vector in ``x``, shape ``(..., d)``
+    or one ``(d,)`` for all: the ``(..., k)`` products, each with the bits
+    that ``ndarray.dot`` gives on that one matrix and vector.
+
+    ``np.matmul`` runs, item by item, the BLAS call that ``ndarray.dot``
+    runs on one pair: gemv, or dot when the matrix has one row.  So a ``(m,
+    1, d)`` stack gives m dot products of lines, and a ``(k, d)`` matrix is
+    never multiplied as a block of lines, which sums in another order.  Both
+    sum from 0.0, which turns a product of -0.0 into 0.0, except where
+    ``ndarray.dot`` meets two operands of one entry each, a ``(1, 1)``
+    matrix, or a line, by a one-entry vector: it multiplies them, and so
+    does this."""
+    if a.shape[-2:] == (1, 1):
+        return a[..., 0] * x
+    return np.matmul(a, x[..., None])[..., 0]
+
+
+def _pour(inputs: np.ndarray, order: np.ndarray, objective: np.ndarray):
+    """The sorting solution of many lines in one numpy pass, with the
+    results of ``IntervalRow._maximize``'s loop, bit for bit: the lines'
+    values, a list, their maximizers, the rows of a read-only ``(m, d)``
+    array, their iteration counts, a list, and the indices of the lines
+    whose row is short of mass beyond ``EPS_FEAS``, a list, which has none
+    but those, as the loop raises there.
+
+    A line is a row and an objective.  Either k rows share one objective, in
+    a transition: ``inputs`` is their ``(2d + 1, k)`` array of pour inputs
+    (see ``_IntervalStack``), ``order`` the objective's order, shape
+    ``(d,)``, and ``objective`` its ``(d,)`` values.  Or one row takes m
+    objectives, in a contraction: ``inputs`` is the row's ``(2d + 1,)``
+    column, ``order`` holds the m orders as columns, ``(d, m)``, and
+    ``objective`` the ``(m, d)`` values.
+
+    The inputs are gathered in each line's order, one state per line of the
+    array, and the running slack before each state is
+    ``np.subtract.accumulate`` down the slack and the headrooms, the loop's
+    own sequence of subtractions, for all lines at once.  Each state's share
+    is its headroom, or the running slack when the headroom is larger (the
+    loop's ``add > left``, not ``np.minimum``), which spends the slack: the
+    accumulated slack then turns negative where the loop's is 0.  The loop
+    stops at the first state whose running slack is ``<= 0.0``, and every
+    later one is too, as a headroom is never negative; there the share is
+    the slack or a zero headroom, so a state takes mass exactly when its
+    share is above 0.  A NaN slack is never spent, and every state with
+    headroom takes it, as in the loop.  A line is short when its slack after
+    the last state is above ``EPS_FEAS``, since a loop that stopped early
+    ends at or below 0 there.  Only states that take mass are written, so a
+    lower bound of -0.0 stays.  The maximizers are scattered back to state
+    order, and the values are m dot products in one ``_matvec``.
+    """
+    d = order.shape[0]
+    head = np.zeros((1,) + order.shape[1:], dtype=order.dtype)
+    gathered = inputs[np.concatenate((head, order + 1, order + d + 1))]
+    share = gathered[1 : d + 1]
+    lower = gathered[d + 1 :]
+    left = np.subtract.accumulate(gathered[: d + 1], axis=0)
+    np.copyto(share, left[:-1], where=share > left[:-1])
+    taken = share > 0.0
+    np.add(lower, share, out=lower, where=taken)
+    p = np.empty(lower.shape[::-1])
+    if order.ndim == 1:
+        p[:, order] = lower.T
+    else:
+        p[np.arange(len(p))[:, None], order.T] = lower.T
+    p.flags.writeable = False
+    values = _matvec(p[:, None, :], objective)[:, 0].tolist()
+    short = np.flatnonzero(left[-1] > EPS_FEAS).tolist()
+    return values, p, taken.sum(axis=0).tolist(), short
+
+
+def _best_vertex(vertices: np.ndarray, obj) -> tuple:
+    """The vertex kernel of one call: the best row of the frozen ``(k, d)``
+    array ``vertices`` for ``obj``, ties to the lowest index, with 0
+    iterations; the vertex is handed out as a read-only view."""
+    # ``ndarray.dot`` has less call overhead than ``@`` and gives the same
+    # bits for a 2-D by 1-D product.
+    values = vertices.dot(obj.values)
+    best = values.argmax()
+    return float(values[best]), vertices[best], 0
+
+
+def _best_vertices(stacked: np.ndarray, objective: np.ndarray):
+    """The vertex kernel of many lines: for each matrix of ``stacked`` and its
+    objective in ``objective`` (see ``_matvec``), the value of the best
+    vertex and its index, ties to the lowest, as two lists; the bits of
+    ``_best_vertex`` on each, as ``argmax`` along a line takes the first
+    maximum, as it does on one vector."""
+    values = _matvec(stacked, objective)
+    best = values.argmax(axis=1)
+    return values[np.arange(len(best)), best].tolist(), best.tolist()
+
+
+def _vertex_lines(row, objective: np.ndarray) -> list:
+    """The lines of a row solved over its ``vertices`` (a vertex row, or a
+    constraint row that has them) for the ``(m, d)`` objectives, as
+    ``_lines`` returns them (see ``IntervalRow._lines``): ``solved`` is the
+    values and the indices of the best vertices."""
+    values, best = _best_vertices(row.vertices, objective)
+    solved = (values, best)
+    return [(row, solved, i) for i in range(len(values))]
+
+
 class _IntervalStack:
     """The interval rows built together, by one ``IntervalRow.stack`` or one
     ``IntervalRow(lower, upper)``: their pour inputs as one frozen ``(2d + 1,
@@ -179,10 +309,9 @@ class _IntervalStack:
     and its lower bounds (the three parts of ``IntervalRow.pour``), and
     ``poured``, the result of the last ``pour``.
 
-    ``poured`` is one immutable tuple ``(objective, P, iterations, short)``:
-    the objective poured, the ``(k, d)`` read-only array of the k
-    maximizers, and each row's iteration count and whether it is short of
-    mass beyond ``EPS_FEAS``, in lists.  Row i's ``_maximize`` reads line i
+    ``poured`` is one tuple ``(objective, lines)``: the objective poured and
+    a list of each row's ``(value, maximizer, iterations)``, or ``None`` for
+    a row short of mass (see ``_pour``).  Row i's ``_maximize`` reads line i
     when it is given that same objective (see ``IntervalRow``), so a line is
     never read for another objective.  Before the first pour no objective
     is held.
@@ -193,45 +322,24 @@ class _IntervalStack:
     def __init__(self, inputs: np.ndarray):
         inputs.flags.writeable = False
         self.inputs = inputs
-        self.poured = (None, None, None, None)
+        self.poured = (None, None)
+
+    def pours(self, d: int) -> bool:
+        """Whether a transition over d states pours this stack: its rows are
+        d wide and hold at least ``STACK_POUR_MIN_ENTRIES`` entries."""
+        rows = self.inputs.shape[1]
+        return self.inputs.shape[0] == 2 * d + 1 and rows * d >= STACK_POUR_MIN_ENTRIES
 
     def pour(self, obj) -> None:
-        """Pour the slack of every row for ``obj`` in one numpy pass, with the
-        results of ``IntervalRow._maximize``'s loop, bit for bit.
-
-        The inputs are gathered in ``obj.order()``, one state per line, and
-        the running slack before each state is ``np.subtract.accumulate``
-        down the lines of the slack and the headrooms, the loop's own
-        sequence of subtractions, for all rows at once.  Each state's share
-        is its headroom, or the running slack when the headroom is larger
-        (the loop's ``add > left``), which spends the slack: the accumulated
-        slack then turns negative where the loop's is 0.  The loop stops at
-        the first state whose running slack is ``<= 0.0``, and every later
-        one is too, as a headroom is never negative; there the share is the
-        slack or a zero headroom, so a state takes mass exactly when its
-        share is above 0.  A NaN slack is never spent, and every state with
-        headroom takes it, as in the loop.  A row is short when its slack
-        after the last state is above ``EPS_FEAS``, since a loop that stopped
-        early ends at or below 0 there.  The lines of an empty row are
-        computed too, but never read.
-        """
-        inputs = self.inputs
-        d = inputs.shape[0] // 2
-        order = np.array(obj.order())
-        gathered = inputs[np.concatenate(([0], order + 1, order + d + 1))]
-        share = gathered[1 : d + 1]
-        lower = gathered[d + 1 :]
-        with np.errstate(over="ignore", invalid="ignore"):
-            left = np.subtract.accumulate(gathered[: d + 1], axis=0)
-            np.copyto(share, left[:-1], where=share > left[:-1])
-            taken = share > 0.0
-            # Only states that take mass are written, as in the loop.
-            np.add(lower, share, out=lower, where=taken)
-        p = np.empty(lower.shape[::-1])
-        p[:, order] = lower.T
-        p.flags.writeable = False
-        iterations = taken.sum(axis=0).tolist()
-        self.poured = (obj, p, iterations, (left[-1] > EPS_FEAS).tolist())
+        """Pour the slack of every row for ``obj`` in one numpy pass
+        (``_pour``), in the objective's kept order."""
+        values, p, iterations, short = _pour(
+            self.inputs, np.array(obj.order()), obj.values
+        )
+        lines = list(zip(values, p, iterations))
+        for i in short:
+            lines[i] = None
+        self.poured = (obj, lines)
 
 
 def _interval_fields(lower: np.ndarray, upper: np.ndarray):
@@ -335,6 +443,27 @@ class IntervalRow:
     def dim(self) -> int:
         return self.lower.size
 
+    def _lines(self, objective: np.ndarray, order: np.ndarray) -> list | None:
+        """The lines of the m objectives ``objective``, ``(m, d)``, whose
+        orders are the rows of ``order`` (see ``Objective.order``), found in
+        one ``_pour``: ``(self, solved, i)`` for objective i, where
+        ``solved`` is the pour's values, maximizers and iteration counts,
+        the line that ``_maximize`` reads from an objective (see
+        ``lp.Objective.blocks``), or ``_NO_LINE`` where the row is short of
+        mass, so that call runs the loop and raises its error.  An empty row
+        has no lines: ``None``.  A line's maximizer, a view, is made when
+        its call reads it, so a chunk's lines hold only the kernel's arrays
+        and lists and one small tuple each."""
+        if self.empty:
+            return None
+        column = self.stacked_in.inputs[:, self.line]
+        values, p, iterations, short = _pour(column, order.T, objective)
+        solved = (values, p, iterations)
+        lines = [(self, solved, i) for i in range(len(values))]
+        for i in short:
+            lines[i] = _NO_LINE
+        return lines
+
     def _maximize(self, obj) -> tuple:
         """The exact sorting solution: start at the lower bounds, then pour
         the slack into the states in decreasing objective order (see
@@ -349,21 +478,24 @@ class IntervalRow:
         mass are written, which keeps a lower bound of -0.0 as it is; the
         iteration count is the number of states that took mass.
 
-        When the row's stack was last poured for this same objective (see
-        ``_IntervalStack.pour``), the row reads its line of that pour in
-        place of the loop: the same maximizer, as a read-only view, the same
-        iteration count and the same error, and the value from its own dot
-        product, as the loop computes it.
+        The loop is the reference; two bulk solutions stand in for it, each
+        with its bits (see ``_pour``).  An objective that carries a line for
+        this row, a contraction block's, hands it back; and when the row's
+        stack was last poured for this same objective, a transition's, the
+        row reads its line of that pour.  A row short of mass has no line
+        in either, so it runs the loop, which raises.
         """
+        row, solved, i = obj._line
+        if row is self:
+            values, p, iterations = solved
+            return values[i], p[i], iterations[i]
         if self.empty:
             raise InfeasibleRowError("interval row is empty")
         poured = self.stacked_in.poured
         if poured[0] is obj:
-            line = self.line
-            if poured[3][line]:
-                raise InfeasibleRowError("interval row has total upper mass below 1")
-            p = poured[1][line]
-            return float(obj.values.dot(p)), p, poured[2][line]
+            line = poured[1][self.line]
+            if line is not None:
+                return line
         left, headroom, lower = self.pour
         p = self.lower.copy()
         taken = 0
@@ -383,11 +515,43 @@ class IntervalRow:
         return float(obj.values.dot(p)), p, taken
 
 
+class _VertexStack:
+    """The vertex rows of one ``VertexRow.stack``, or one ``VertexRow``, that
+    list k vertices each: ``vertices``, the rows' own ``(k, d)`` arrays, in
+    order; ``stacked``, a frozen ``(r, k, d)`` copy of them for the gemv
+    of ``_best_vertices``; and ``poured``, the result of the last ``pour``,
+    one tuple ``(objective, lines)`` as ``_IntervalStack`` keeps it.  Rows
+    with another vertex count are in another stack: a matrix is never
+    padded, as a padded gemv sums in another order."""
+
+    __slots__ = ("vertices", "stacked", "poured")
+
+    def __init__(self, vertices: tuple):
+        self.vertices = vertices
+        self.stacked = _freeze(np.stack(vertices))
+        self.poured = (None, None)
+
+    def pours(self, d: int) -> bool:
+        """Whether a transition over d states pours this stack: its rows are
+        d wide and there are at least ``VERTEX_STACK_MIN_ROWS`` of them."""
+        r, _, width = self.stacked.shape
+        return width == d and r >= VERTEX_STACK_MIN_ROWS
+
+    def pour(self, obj) -> None:
+        """Solve every row for ``obj`` in one ``_best_vertices``; each line's
+        maximizer is a view of its row's ``vertices``, as in a call."""
+        values, best = _best_vertices(self.stacked, obj.values)
+        maximizers = map(getitem, self.vertices, best)
+        self.poured = (obj, list(zip(values, maximizers, repeat(0))))
+
+
 def _vertex_fields(block: np.ndarray, counts):
-    """The fields ``(vertices, violations, feasible)`` of the vertex rows that
-    take ``counts[i]`` rows of the ``(sum k, d)`` array ``block`` each, in
-    order (see ``VertexRow``); ``vertices`` are read-only views of ``block``,
-    frozen here.  Raises ``ValueError`` on an empty list or a non-finite entry."""
+    """The fields ``(vertices, violations, feasible, stacked_in, line)`` of the
+    vertex rows that take ``counts[i]`` rows of the ``(sum k, d)`` array
+    ``block`` each, in order (see ``VertexRow``); ``vertices`` are read-only
+    views of ``block``, frozen here, and the rows with one vertex count
+    share one ``_VertexStack``.  Raises ``ValueError`` on an empty list or a
+    non-finite entry."""
     if block.ndim != 2 or block.shape[1] == 0 or 0 in counts:
         raise ValueError("vertex list must be a nonempty 2-D array")
     if not np.isfinite(block).all():
@@ -400,6 +564,7 @@ def _vertex_fields(block: np.ndarray, counts):
     bad = outside | unnormalised
     checked = bad.any()  # a valid block runs no loop over its vertices
     fields = []
+    by_count: dict[int, list] = {}
     start = 0
     for count in counts:
         stop = start + count
@@ -410,8 +575,13 @@ def _vertex_fields(block: np.ndarray, counts):
             if unnormalised[start + k]:
                 messages.append(f"vertex {k} does not sum to 1 "
                                 f"(sum={sums[start + k]:.6g})")
-        fields.append((block[start:stop], tuple(messages), not messages))
+        fields.append([block[start:stop], tuple(messages), not messages])
+        by_count.setdefault(count, []).append(fields[-1])
         start = stop
+    for members in by_count.values():
+        stack = _VertexStack(tuple(row[0] for row in members))
+        for line, row in enumerate(members):
+            row += (stack, line)
     return fields
 
 
@@ -425,12 +595,16 @@ class VertexRow:
     entry outside [0, 1] and each that does not sum to 1 (within
     ``EPS_PROB``), ``()`` when every vertex is a pmf; ``feasible`` is ``not
     violations``.  A row built here is the k=1 case of ``stack``: both run
-    the same computation.
+    the same computation.  The rows built together that list the same
+    number of vertices share one ``_VertexStack``, ``stacked_in``, which
+    can solve all of them at once, and ``line`` is the row's index in it.
     """
 
     vertices: np.ndarray
     violations: tuple = field(init=False, repr=False, compare=False)
     feasible: bool = field(init=False, repr=False, compare=False)
+    stacked_in: _VertexStack = field(init=False, repr=False, compare=False)
+    line: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.array(self.vertices, dtype=float)
@@ -454,17 +628,25 @@ class VertexRow:
     def dim(self) -> int:
         return self.vertices.shape[1]
 
+    def _lines(self, objective: np.ndarray, order=None) -> list:
+        """The lines of the ``(m, d)`` objectives, in one ``_best_vertices``
+        (see ``IntervalRow._lines``)."""
+        return _vertex_lines(self, objective)
+
     def _maximize(self, obj) -> tuple:
         """Direct enumeration: the best listed vertex, ties to the lowest
-        list index.  It reads ``self.vertices`` only, so a compiled
-        ``ConstraintRow`` runs it too."""
-        vertices = self.vertices
-        # ``ndarray.dot`` has less call overhead than ``@`` and gives the same
-        # bits for a 2-D by 1-D product.
-        values = vertices.dot(obj.values)
-        best = values.argmax()
-        # ``vertices`` is frozen, so the chosen row is handed out as a view.
-        return float(values[best]), vertices[best], 0
+        list index (``_best_vertex``).  An objective that carries a line for
+        this row hands it back, and a row whose stack was last poured for
+        this same objective reads its line of that pour, as an interval row
+        does."""
+        row, solved, i = obj._line
+        if row is self:
+            values, best = solved
+            return values[i], self.vertices[best[i]], 0
+        poured = self.stacked_in.poured
+        if poured[0] is obj:
+            return poured[1][self.line]
+        return _best_vertex(self.vertices, obj)
 
 
 @dataclass(frozen=True)
@@ -538,13 +720,24 @@ class ConstraintRow:
     def dim(self) -> int:
         return self.a.shape[1]
 
+    def _lines(self, objective: np.ndarray, order=None) -> list | None:
+        """The lines of the ``(m, d)`` objectives over the row's
+        ``vertices``, as a vertex row finds them; ``None`` on a row that
+        keeps the simplex, which solves each call on its own."""
+        return None if self.vertices is None else _vertex_lines(self, objective)
+
     def _maximize(self, obj) -> tuple:
-        """The best of the row's ``vertices`` when it has them, by
-        ``VertexRow._maximize``, with 0 iterations; otherwise phase 2 of the
-        simplex, ``_simplex_maximize``."""
+        """The line an objective carries for this row, if any (see
+        ``VertexRow._maximize``); else the best of the row's ``vertices``
+        when it has them, by ``_best_vertex``, with 0 iterations; otherwise
+        phase 2 of the simplex, ``_simplex_maximize``."""
+        row, solved, i = obj._line
+        if row is self:
+            values, best = solved
+            return values[i], self.vertices[best[i]], 0
         if self.vertices is None:
             return _simplex_maximize(self, obj)
-        return VertexRow._maximize(self, obj)
+        return _best_vertex(self.vertices, obj)
 
 
 def _simplex_maximize(row: ConstraintRow, obj) -> tuple:
@@ -880,10 +1073,10 @@ class ImpreciseMarkovChain:
     optimisation decomposes per state.  Instances are immutable; use
     ``validate_model`` to collect invariant violations.
 
-    ``pour_stacks`` holds the stacks of the interval rows in ``rows`` that
-    are as wide as the state count and hold at least
-    ``STACK_POUR_MIN_ENTRIES`` entries, in row order: a transition pours
-    each of them in one pass before it solves the rows one by one.
+    ``pour_stacks`` holds the stacks of the rows in ``rows`` that a
+    transition pours (see ``_IntervalStack.pours`` and
+    ``_VertexStack.pours``), in row order: ``pour`` solves each of them in
+    one pass before the rows are solved one call at a time.
     """
 
     states: StateSpace
@@ -894,17 +1087,25 @@ class ImpreciseMarkovChain:
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
         stacks = dict.fromkeys(row.stacked_in for row in self.rows
-                               if isinstance(row, IntervalRow))
+                               if isinstance(row, (IntervalRow, VertexRow)))
         d = self.states.size
-        object.__setattr__(self, "pour_stacks", tuple(
-            stack for stack in stacks
-            if stack.inputs.shape[0] == 2 * d + 1
-            and stack.inputs.shape[1] * d >= STACK_POUR_MIN_ENTRIES
-        ))
+        object.__setattr__(self, "pour_stacks",
+                           tuple(stack for stack in stacks if stack.pours(d)))
 
     @property
     def size(self) -> int:
         return self.states.size
+
+    def pour(self, obj) -> None:
+        """Solve every stack of ``pour_stacks`` for ``obj``, each in one
+        numpy pass, as a transition does before its calls; a row of such a
+        stack then reads its line when it is given that same objective.
+        A sum that leaves float range is inf or NaN without a warning, as
+        it is in a call."""
+        if self.pour_stacks:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for stack in self.pour_stacks:
+                    stack.pour(obj)
 
 
 def row_contains(row: CredalRow, p) -> bool:

@@ -7,13 +7,16 @@ histories, which powers the exponential-cost reference computation.  A
 history function on horizon n is a float array of shape ``(d,)*n``, d the
 state count, whose entry ``hist[x1, ..., xn]`` is its value on that path.
 
-A transition optimises one objective over every row, so it first pours each
-of the model's ``pour_stacks``, the interval stacks as wide as the model of
-at least ``STACK_POUR_MIN_ENTRIES`` entries, in one numpy pass for that
-objective (its negation for the lower operator).  Every row still costs one
-``maximize`` or ``minimize`` call, where a row of such a stack reads its
-line of the pass.  A contraction has an objective per block, so it keeps
-the per-row loop.
+A transition optimises one objective over every row, so it first solves
+the model's ``pour_stacks`` for it (its negation for the lower operator),
+each in one numpy pass: the interval stacks as wide as the model of at
+least ``STACK_POUR_MIN_ENTRIES`` entries and the vertex stacks of one vertex
+count with at least ``VERTEX_STACK_MIN_ROWS`` rows.  A contraction gives
+each row the blocks ``x::d`` of a history, an objective each, and solves a
+row's blocks of a chunk in one numpy pass when there are at least
+``BATCH_MIN_LINES`` of them (see ``lp.Objective.blocks``).  Either way,
+every row optimisation still costs one ``maximize`` or ``minimize`` call,
+where a row reads its line of a pass.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from itertools import cycle
 
 import numpy as np
 
-from .core import ImpreciseMarkovChain, IntervalRow
+from .core import ImpreciseMarkovChain
 from .lp import LpCounter, Objective, maximize, minimize
 
 
@@ -51,8 +54,7 @@ def upper_transition(
     checked, or an ``Objective``, which only has its length checked.
     """
     f = Objective.checked(f, size=model.size, name="gamble")
-    for stack in model.pour_stacks:
-        stack.pour(f)
+    model.pour(f)
     return _optimise_blocks(model, [f] * model.size, maximize, counter)
 
 
@@ -62,8 +64,7 @@ def lower_transition(
     """Conjugate of ``upper_transition``: entry x minimises over the row of x.
     ``f`` is a vector or an ``Objective``, as there."""
     f = Objective.checked(f, size=model.size, name="gamble")
-    for stack in model.pour_stacks:
-        stack.pour(f.negation)
+    model.pour(f.negation)
     return _optimise_blocks(model, [f] * model.size, minimize, counter)
 
 
@@ -78,17 +79,16 @@ def _contract(
     blocks = np.asarray(hist.reshape(-1, d), dtype=float)
     if not np.isfinite(blocks).all():
         raise ValueError("objective contains non-finite entries")
-    # Each block is its own objective, so its sort is done in bulk, a chunk
-    # of blocks at a time: the set-up kept for a chunk is two to five times
-    # the chunk, and a whole history would need that many times the history.
-    # Only interval rows read the sort, so a model without one skips it, and
-    # only simplex rows read a block's negation, which is built on that read.
-    # Each block still costs one ``maximize`` call, looked up here so that a
-    # wrapper set on this module sees every block.  The lower contraction
-    # maximises the negated blocks, a chunk negated at a time, and negates
-    # the maxima.
-    ordered = any(isinstance(row, IntervalRow) for row in model.rows)
-    objectives = Objective.blocks(blocks, negate, ordered)
+    # Each block is its own objective, so its sort and its solution are
+    # done in bulk, a chunk of blocks at a time: the set-up kept for a chunk
+    # is two to five times the chunk, and a whole history would need that
+    # many times the history.  Only the blocks that meet an interval row are
+    # sorted, and only simplex rows read a block's negation, which is built
+    # on that read.  Each block still costs one ``maximize`` call, looked up
+    # here so that a wrapper set on this module sees every block.  The lower
+    # contraction maximises the negated blocks, a chunk negated at a time,
+    # and negates the maxima.
+    objectives = Objective.blocks(blocks, negate, model.rows)
     out = _optimise_blocks(model, objectives, maximize, counter)
     return (-out if negate else out).reshape(hist.shape[:-1])
 

@@ -11,7 +11,8 @@ size limit, ``HISTORY_CAP``, is a fixed constant.  The route exists to check
 the linear-time engine on desk-scale instances, but the contraction is also
 what ``credalmc check`` spends nearly all its time on: its ``2·Σd^i`` row
 optimisations, one per history block, run through the extended operators,
-which prepare the blocks' objectives a chunk at a time.
+which prepare the blocks' objectives a chunk at a time and solve a row's
+blocks of a chunk in one numpy pass when there are enough of them.
 """
 
 from __future__ import annotations

@@ -1226,12 +1226,12 @@ class TestSharedObjective:
 
 class TestChunkedObjectives:
     """``Objective.blocks`` takes a chunk of blocks at a time, negates it for
-    the lower contraction, and sorts it when asked to; each block's
-    objective, over the block or its negation, sorted in bulk or not, gives
-    on every row kind and in both directions what a fresh
-    ``Objective(block)`` or ``Objective(-block)`` gives, bit for bit, on
-    either side of every chunk boundary.  Its own negation is built only
-    when it is read."""
+    the lower contraction, and, given the rows the blocks cycle through,
+    sorts and solves them in bulk; each block's objective, over the block
+    or its negation, solved in bulk or not, gives on every row kind and in
+    both directions what a fresh ``Objective(block)`` or
+    ``Objective(-block)`` gives, bit for bit, on either side of every chunk
+    boundary.  Its own negation is built only when it is read."""
 
     # Few distinct entries, -0.0 beside 0.0 among them, so blocks have ties.
     _POOL = np.array([-2.0, -1.0, -0.3, -0.0, 0.0, 0.5, 1.0, 1.7, 2.0])
@@ -1254,10 +1254,10 @@ class TestChunkedObjectives:
         chunks=st.sampled_from(("1", "chunk", "chunk + 1", "3 chunks + 1")),
         kind=st.sampled_from(("interval", "vertex", "constraint")),
         negate=st.booleans(),
-        ordered=st.booleans(),
+        solved=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_fresh_objectives(self, d, chunks, kind, negate, ordered, seed):
+    def test_matches_fresh_objectives(self, d, chunks, kind, negate, solved, seed):
         gen = np.random.default_rng(seed)
         step = lp.CHUNK_ENTRIES // d
         k = {
@@ -1277,7 +1277,7 @@ class TestChunkedObjectives:
             res = optimise(row, objective)
             return res.value, res.maximizer, res.iterations
 
-        prepared = list(lp.Objective.blocks(blocks, negate, ordered))
+        prepared = list(lp.Objective.blocks(blocks, negate, rows if solved else ()))
         assert len(prepared) == k
         for i, (obj, block) in enumerate(zip(prepared, blocks)):
             row = rows[i % 3]
@@ -1292,15 +1292,19 @@ class TestChunkedObjectives:
             assert obj.negation.values.tobytes() == (-fresh.values).tobytes()
 
     @pytest.mark.parametrize("negate", [False, True])
-    @pytest.mark.parametrize("ordered", [False, True])
-    def test_negation_is_built_when_first_read(self, negate, ordered):
-        blocks = np.arange(24.0).reshape(8, 3) - 7.0
-        prepared = list(lp.Objective.blocks(blocks, negate, ordered))
-        assert all(obj._negation is None for obj in prepared)
-        # Interval and vertex rows maximise ``values`` and never read it.
+    @pytest.mark.parametrize("solved", [False, True])
+    def test_negation_is_built_when_first_read(self, negate, solved):
+        # Interval and vertex rows maximise ``values`` and never read it, in
+        # bulk (``BATCH_MIN_LINES`` blocks each) or call by call.
         rows = [IntervalRow(lower=[0.1, 0.2, 0.3], upper=[0.5, 0.6, 0.7]),
                 VertexRow(vertices=[[0.2, 0.3, 0.5], [0.6, 0.2, 0.2]])]
-        for obj, row in zip(prepared, rows * 4):
+        k = lp.BATCH_MIN_LINES
+        blocks = np.arange(6.0 * k).reshape(2 * k, 3) - 7.0
+        prepared = list(lp.Objective.blocks(blocks, negate, rows if solved else ()))
+        assert all(obj._negation is None for obj in prepared)
+        assert all((obj._line[0] is row) == solved
+                   for obj, row in zip(prepared, rows * k))
+        for obj, row in zip(prepared, rows * k):
             maximize(row, obj)
         assert all(obj._negation is None for obj in prepared)
         first = prepared[0].negation
@@ -1336,7 +1340,8 @@ class TestChunkedObjectives:
 
     def test_blocks_are_read_only_views(self):
         blocks = np.arange(12.0).reshape(4, 3)
-        for obj, block in zip(lp.Objective.blocks(blocks, False, True), blocks):
+        rows = [IntervalRow(lower=[0.1, 0.2, 0.3], upper=[0.5, 0.6, 0.7])]
+        for obj, block in zip(lp.Objective.blocks(blocks, False, rows), blocks):
             assert np.shares_memory(obj.values, block)
             assert not obj.values.flags.writeable
         assert blocks.flags.writeable

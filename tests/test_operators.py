@@ -6,9 +6,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from credalmc import (
+    ConstraintRow,
     ImpreciseMarkovChain,
     InfeasibleRowError,
     IntervalRow,
@@ -22,10 +23,11 @@ from credalmc import (
     maximize,
     minimize,
     upper_transition,
+    VertexRow,
 )
-from credalmc import lp, operators
+from credalmc import core, lp, operators
 from credalmc.cli import parse_model
-from credalmc.core import EPS_FEAS, STACK_POUR_MIN_ENTRIES
+from credalmc.core import EPS_FEAS, STACK_POUR_MIN_ENTRIES, VERTEX_STACK_MIN_ROWS
 from helpers import (
     E1_ROW_S0,
     e1_model,
@@ -533,6 +535,9 @@ class TestStackPourMatchesLoop:
         shorts=st.integers(0, 2),
         seed=st.integers(0, 2**32 - 1),
     )
+    # At d = 1 a dot product is a scalar product: a value that is a product
+    # of -0.0 stays -0.0 only if the pour multiplies rather than sums.
+    @example(d=1, extra=1, shorts=0, seed=5834380)
     def test_random_stacks(self, d, extra, shorts, seed):
         # Stacks just below the constant (extra = -1) and at or above it.
         k = max(1, -(-STACK_POUR_MIN_ENTRIES // d) + extra)
@@ -604,3 +609,229 @@ class TestStackPourMatchesLoop:
         for transition in (upper_transition, lower_transition):
             with pytest.raises(ValueError, match="^objective has length 2, expected 3$"):
                 transition(model, [1.0, 2.0])
+
+
+# Entries of objective blocks: few distinct values, -0.0 beside 0.0, so
+# blocks have ties.
+_POOL = np.array([-2.0, -1.0, -0.3, -0.0, 0.0, 0.5, 1.0, 1.7, 2.0])
+
+
+def _objectives(gen, k, d):
+    """``(k, d)`` objectives, entries drawn mostly from ``_POOL``."""
+    return np.where(gen.random((k, d)) < 0.7, gen.choice(_POOL, size=(k, d)),
+                    gen.normal(size=(k, d)))
+
+
+def _vertex_lists(gen, d, counts):
+    """One vertex list per count: unit vectors, the uniform pmf and random
+    pmfs whose zero entries are -0.0, some repeated, so objectives tie."""
+    pool = np.vstack([np.eye(d), np.full(d, 1.0 / d), gen.dirichlet(np.ones(d), 3)])
+    pool[gen.random(pool.shape) < 0.3] *= 0.0
+    pool[pool == 0.0] = -0.0
+    return [pool[gen.integers(0, len(pool), count)] for count in counts]
+
+
+def _compiled_constraint_row(gen, d):
+    """A constraint row solved over its vertex list: as many inequalities
+    around the uniform pmf, up to three, as ``VERTEX_BASES_MAX`` allows, or
+    ``None`` for a d at which even the bare simplex has too many bases."""
+    fits = [m for m in range(4) if math.comb(m + d, d - 1) <= core.VERTEX_BASES_MAX]
+    if not fits:
+        return None
+    m = fits[-1]
+    a = gen.normal(size=(m, d))
+    row = ConstraintRow(a=a, b=a @ np.full(d, 1.0 / d) + 0.05)
+    assert row.vertices is not None
+    return row
+
+
+def _row_pool(gen, d):
+    """Rows of every kind, built as a parsed model builds them: five interval
+    rows in one stack (-0.0 lower bounds, zero gaps, one row short of mass
+    by twice ``EPS_FEAS``, one empty), four vertex rows in one stack with
+    mixed vertex counts, a constraint row with a vertex list (when d allows
+    one) and one that keeps the simplex."""
+    lower, upper = _stack_bounds(gen, d, 5, [3])
+    lower[4] = 0.0
+    lower[4, 0] = upper[4, 0] = 1.5  # lower bounds summing above 1: empty
+    rows = [*IntervalRow.stack(lower, upper),
+            *VertexRow.stack(_vertex_lists(gen, d, gen.integers(1, 5, 4)))]
+    compiled = _compiled_constraint_row(gen, d)
+    if compiled is not None:
+        rows.append(compiled)
+    if d >= 4:
+        simplex = small_constraint_row(gen, d)
+        assert simplex.vertices is None
+        rows.append(simplex)
+    return rows
+
+
+class TestContractionMatchesCalls:
+    """A contraction solves a row's blocks of a chunk in bulk, one numpy
+    kernel per row kind (see ``lp.Objective.blocks``), when the row meets at
+    least ``BATCH_MIN_LINES`` of them; every block then hands its line to
+    its own ``maximize`` call.  Every call must give what a call on a plain
+    copy of the block gives: the value and maximizer bit for bit, the
+    iteration count, and the first error, at the same block."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 64),
+        rows=st.integers(1, 4),
+        chunks=st.sampled_from((1, 2)),
+        extra=st.integers(-3, 3),
+        negate=st.booleans(),
+        data=st.data(),
+    )
+    def test_blocks_match_calls(self, d, rows, chunks, extra, negate, data):
+        # A cycle of a few rows, so that at any d a row meets enough blocks
+        # of a chunk; chunks do not start at a multiple of the cycle.
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        pool = _row_pool(gen, d)
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1),
+                                   min_size=rows, max_size=rows))
+        cycle = [pool[i] for i in picks]
+        k = max(1, chunks * (lp.CHUNK_ENTRIES // d) + extra)
+        self._assert_blocks_match_calls(_objectives(gen, k, d), negate, cycle)
+
+    @pytest.mark.parametrize("negate", [False, True])
+    @pytest.mark.parametrize("row", [
+        IntervalRow(lower=[-0.0], upper=[1.0]),
+        IntervalRow(lower=[1.0], upper=[1.0]),
+        VertexRow(vertices=[[1.0]]),
+        VertexRow(vertices=[[1.0], [-0.0], [0.5]]),
+        ConstraintRow(a=[[1.0]], b=[2.0]),
+    ], ids=["interval", "interval-fixed", "vertex-1", "vertex-3", "constraint"])
+    def test_one_state(self, row, negate):
+        # At d = 1 numpy's dot multiplies a one-entry line, or a (1, 1)
+        # matrix, by the one-entry objective, which keeps a product of -0.0,
+        # and sums from 0.0 for a taller matrix, which does not.
+        blocks = np.array([[-0.0], [0.0], [1.0], [-1.0]] * lp.BATCH_MIN_LINES)
+        solved = self._assert_blocks_match_calls(blocks, negate, [row])
+        assert all(obj._line[0] is row for obj in solved)
+
+    @staticmethod
+    def _assert_blocks_match_calls(blocks, negate, cycle):
+        """Each block's call, on its objective from ``Objective.blocks``,
+        against a call on a plain copy; returns the objectives."""
+        solved = list(lp.Objective.blocks(blocks, negate, cycle))
+        for i, (obj, block) in enumerate(zip(solved, blocks)):
+            row = cycle[i % len(cycle)]
+            plain = -block if negate else block.copy()
+            assert _outcome(lambda: maximize(row, obj)) == _outcome(
+                lambda: maximize(row, plain)
+            )
+            if obj._line[0] is not None:
+                assert obj._line[0] is row
+        return solved
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12, 40]),
+        extended=st.sampled_from([extended_upper, extended_lower]),
+        data=st.data(),
+    )
+    def test_contractions_match_calls(self, d, extended, data):
+        # The model's rows drawn from the pool, so a row that raises may be
+        # met by a later block than the first; d = 40 gives chunks of 102
+        # blocks, whose starts are not a multiple of d.
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        pool = _row_pool(gen, d)
+        weights = np.array([1.0 if i in (3, 4) else 4.0 for i in range(len(pool))])
+        picks = gen.choice(len(pool), d, p=weights / weights.sum())
+        rows = [pool[i] for i in picks]
+        space = StateSpace(tuple(f"s{i}" for i in range(d)))
+        model = ImpreciseMarkovChain(states=space, initial=rows[0], rows=rows)
+        n = 3 if d == 40 else max(2, math.floor(math.log(3000) / math.log(d)) + 1
+                                  if d > 1 else 4)
+        hist = _objectives(gen, d ** n, 1).reshape((d,) * n)
+        negate = extended is extended_lower
+        seen = []
+
+        def record(row, obj, counter=None):
+            seen.append(_outcome(lambda: maximize(row, obj, counter)))
+            return maximize(row, obj, counter)
+
+        with mock.patch.object(operators, "maximize", record):
+            try:
+                out = extended(model, hist)
+            except InfeasibleRowError:
+                out = None
+        want = []
+        for i, block in enumerate(hist.reshape(-1, d)):
+            want.append(_outcome(
+                lambda: maximize(rows[i % d], -block if negate else block.copy())
+            ))
+            if isinstance(want[-1][0], str):
+                break
+        assert seen == want
+        if out is not None:
+            values = np.array([np.frombuffer(v)[0] for v, _, _ in want])
+            assert out.tobytes() == (-values if negate else values).tobytes()
+
+
+class TestVertexStackPourMatchesCalls:
+    """A transition solves every vertex row of a stack with one vertex count,
+    ``VERTEX_STACK_MIN_ROWS`` rows or more, in one gemv, and each row reads
+    its line of it.  Every row must give what the same row built alone
+    gives: the value and maximizer bit for bit, and the iteration count;
+    the maximizer is still a read-only view of the row's vertices."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 64),
+        r=st.integers(VERTEX_STACK_MIN_ROWS - 1, 3 * VERTEX_STACK_MIN_ROWS),
+        most=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_stacks(self, d, r, most, seed):
+        gen = np.random.default_rng(seed)
+        lists = _vertex_lists(gen, d, gen.integers(1, most + 1, r))
+        self._assert_matches_alone(lists, _objectives(gen, 1, d)[0])
+
+    @pytest.mark.parametrize("c", [-0.0, 0.0, 2.0])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_one_state(self, k, c):
+        # At d = 1 a one-vertex row's value is a product, which keeps -0.0,
+        # and a taller row's is a sum from 0.0 (see ``core._matvec``).
+        vertices = [[1.0], [-0.0], [0.5]][:k]
+        self._assert_matches_alone([vertices] * VERTEX_STACK_MIN_ROWS, np.array([c]))
+
+    @staticmethod
+    def _assert_matches_alone(lists, c):
+        counts = np.array([len(vertices) for vertices in lists])
+        r, d = len(lists), len(c)
+        rows = VertexRow.stack(lists)
+        alone = [VertexRow(vertices=vertices) for vertices in lists]
+        space = StateSpace(tuple(f"s{i}" for i in range(d)))
+        model = ImpreciseMarkovChain(states=space, initial=rows[-1],
+                                     rows=[rows[i % r] for i in range(d)])
+        # One stack per vertex count, poured when it has enough rows.
+        poured = {row.stacked_in for row in rows
+                  if sum(counts == len(row.vertices)) >= VERTEX_STACK_MIN_ROWS}
+        assert set(model.pour_stacks) == {row.stacked_in for row in model.rows} & poured
+        for transition, optimise in ((upper_transition, maximize),
+                                     (lower_transition, minimize)):
+            seen = []
+
+            def record(row, obj, counter=None, optimise=optimise):
+                seen.append(_outcome(lambda: optimise(row, obj, counter)))
+                return optimise(row, obj, counter)
+
+            obj = lp.Objective.checked(c)
+            with mock.patch.object(operators, optimise.__name__, record):
+                transition(model, obj)
+            assert seen == [_outcome(lambda: optimise(alone[i % r], c))
+                            for i in range(d)]
+            # Every line of a poured stack, including those of rows the
+            # model does not hold.
+            target = obj if optimise is maximize else obj.negation
+            for row, row_alone in zip(rows, alone):
+                read = row.stacked_in in model.pour_stacks
+                assert (row.stacked_in.poured[0] is target) == read
+                res = optimise(row, obj)
+                assert _outcome(lambda: res) == _outcome(
+                    lambda: optimise(row_alone, c)
+                )
+                assert np.shares_memory(res.maximizer, row.vertices)
+                assert not res.maximizer.flags.writeable
